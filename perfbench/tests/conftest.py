@@ -1,0 +1,7 @@
+"""Put the program's source and the benchmark's modules on the path."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(os.path.dirname(BENCH), "src"), BENCH]
