@@ -3,8 +3,10 @@
 Three families, matching the hot paths the simulator spends its time in:
 
 * ``engine.*`` — raw event-loop throughput (events/sec), measured on
-  both the optimized engine and the pre-optimization baseline loop
-  (``Engine(fast_path=False)``), so every run records its own speedup.
+  both the production engine and the plain binary-heap reference
+  engine the test suite keeps as its oracle
+  (``tests/reference_engine.py``), so every run records its own
+  speedup.
 * ``executor.dispatch`` — end-to-end node dispatch rate of a real solo
   workload (graph nodes + pool tasks per wall second).
 * ``cost_model.lookup`` — memoized vs uncached cost-model lookup rate
@@ -45,6 +47,8 @@ from repro.sim import Engine
 from repro.sim.events import Event
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))
+from tests.reference_engine import ReferenceEngine  # noqa: E402
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_core.json"
 
 # Benchmark sizes: (quick, full)
@@ -68,9 +72,9 @@ _ENGINE_REPEATS = (2, 5)
 
 
 def _make_engine(optimized: bool) -> Engine:
-    # optimized=True is the array core (the default); the baseline is
-    # the legacy heap agenda kept for exactly this comparison.
-    return Engine(core="array" if optimized else "legacy")
+    # optimized=True is the production engine; the baseline is the
+    # reference heap engine from the test tree.
+    return Engine() if optimized else ReferenceEngine()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Three-way engine-core equivalence: legacy == two-lane == array.
+"""Engine equivalence: the production engine against the reference engine.
 
-The two-lane agenda was introduced as a pure optimisation over the
-legacy loop; the array-structured core replaced it as the default.
-Both optimised cores keep the legacy path as the semantic baseline —
-so these tests run the *same* workload under all three agenda
-implementations and require bit-identical observable behaviour:
-execution log, final clock, trace rows and run-log records.
+``tests/reference_engine.py`` keeps the textbook binary-heap agenda as
+an independent implementation of the scheduling contract. These tests
+run the *same* workload on both and require bit-identical observable
+behaviour: execution log, final clock, trace rows and run-log records.
+Full simulations get the reference engine by swapping the ``Engine``
+class that :class:`~repro.core.context.RunContext` instantiates.
 """
 
 import pytest
@@ -17,13 +17,14 @@ from repro.core import (
     PRIORITY_LOW,
     make_context,
 )
+from repro.core import context as context_module
 from repro.core.switchflow import SwitchFlowPolicy
 from repro.faults import FaultPlan
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.sim import Engine
-from repro.sim.engine import CORES
 from repro.workloads import JobSpec, run_colocation
+from tests.reference_engine import ReferenceEngine
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -35,7 +36,7 @@ except ImportError:  # pragma: no cover - hypothesis ships in the image
 # ---------------------------------------------------------------------------
 # Randomized micro-workloads straight on the engine
 # ---------------------------------------------------------------------------
-def run_program(core, program):
+def run_program(engine_cls, program, drive="run"):
     """Execute a little process zoo; return the observable transcript.
 
     ``program`` is a list of per-process instruction lists; each
@@ -44,8 +45,12 @@ def run_program(core, program):
     waiting on. ``signal_index`` may also be ``None`` (pure timeout) or
     negative (wait on event ``-signal_index - 1`` instead of timing
     out), which exercises the immediate-FIFO lane against the heap.
+
+    ``drive`` picks the loop that drains the agenda: ``"run"`` (the
+    engine's inlined run loop) or ``"step"`` (a ``peek``/``step`` loop
+    — a separate drain implementation in the production engine).
     """
-    engine = Engine(core=core)
+    engine = engine_cls()
     n_events = len(program)
     events = [engine.event() for _ in range(n_events)]
     log = []
@@ -68,9 +73,19 @@ def run_program(core, program):
                  for pid, instructions in enumerate(program)]
     # Not every process terminates (a wait on an event nobody fires);
     # run to quiescence with a horizon instead of joining them all.
-    engine.run(until=engine.any_of([engine.all_of(processes),
-                                    engine.timeout(1e6)]))
+    done = engine.any_of([engine.all_of(processes), engine.timeout(1e6)])
+    if drive == "run":
+        engine.run(until=done)
+    else:
+        while not done.processed and engine.peek() < float("inf"):
+            engine.step()
     return log, engine.now
+
+
+def assert_programs_agree(program):
+    reference = run_program(ReferenceEngine, program)
+    for drive in ("run", "step"):
+        assert run_program(Engine, program, drive) == reference, drive
 
 
 instruction = st.tuples(
@@ -84,32 +99,57 @@ instruction = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(instruction, max_size=6), min_size=1,
                 max_size=5))
-def test_all_three_agendas_are_equivalent(program):
-    transcripts = {core: run_program(core, program) for core in CORES}
-    assert transcripts["array"] == transcripts["legacy"]
-    assert transcripts["twolane"] == transcripts["legacy"]
+def test_array_agenda_matches_reference(program):
+    assert_programs_agree(program)
 
 
 def test_fixed_program_equivalence():
     # Deterministic fallback covering the same ground as the property
     # test: ties at one timestamp, immediate wakeups, and waits on
     # events fired by other processes.
-    program = [
+    assert_programs_agree([
         [(0.0, 1), (5.0, None), (0.0, 2)],
         [(0.0, -1), (0.0, 0)],
         [(5.0, None), (0.0, -3), (1.0, None)],
         [(0.0, -2), (2.0, 1)],
-    ]
-    baseline = run_program("legacy", program)
-    assert run_program("array", program) == baseline
-    assert run_program("twolane", program) == baseline
+    ])
 
 
 # ---------------------------------------------------------------------------
 # Full simulation runs
 # ---------------------------------------------------------------------------
-def colocation_transcript(core, policy_factory, jobs, seed):
-    ctx = make_context(v100_server, 2, seed=seed, core=core)
+def context_on(engine_cls, *args, **kwargs):
+    """``make_context`` with the run's engine built from ``engine_cls``.
+
+    RunContext instantiates the module-level ``Engine`` name of
+    ``repro.core.context``; swapping it for the duration of the call
+    puts the whole simulation stack on the chosen engine.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(context_module, "Engine", engine_cls)
+        ctx = make_context(*args, **kwargs)
+    assert type(ctx.engine) is engine_cls
+    return ctx
+
+
+def assert_transcripts_agree(transcript, *args, **kwargs):
+    """Run ``transcript`` on both engines; require identical results.
+
+    Transcripts are (trace rows, run-log records, final clock, per-job
+    results); each part is compared separately so a failure names it.
+    Returns the reference transcript.
+    """
+    reference = transcript(ReferenceEngine, *args, **kwargs)
+    array = transcript(Engine, *args, **kwargs)
+    assert array[2] == reference[2]   # final clock
+    assert array[0] == reference[0]   # every trace span, in order
+    assert array[1] == reference[1]   # every run-log record
+    assert array[3] == reference[3]   # per-job stats / requests
+    return reference
+
+
+def colocation_transcript(engine_cls, policy_factory, jobs, seed):
+    ctx = context_on(engine_cls, v100_server, 2, seed=seed)
     gpu = ctx.machine.gpu(0).name
     specs = [
         JobSpec(job=JobHandle(name=name, model=get_model(model),
@@ -141,25 +181,20 @@ WORKLOADS = {
 @pytest.mark.parametrize("seed", [3, 11])
 def test_colocation_identical_under_all_agendas(workload, seed):
     policy_factory, jobs = WORKLOADS[workload]
-    legacy = colocation_transcript("legacy", policy_factory, jobs, seed)
-    for core in ("array", "twolane"):
-        other = colocation_transcript(core, policy_factory, jobs, seed)
-        assert other[2] == legacy[2], core   # final clock
-        assert other[0] == legacy[0], core   # every trace span, in order
-        assert other[1] == legacy[1], core   # every run-log record
-        assert other[3] == legacy[3], core   # per-job stats
+    assert_transcripts_agree(colocation_transcript, policy_factory, jobs,
+                             seed)
 
 
 # ---------------------------------------------------------------------------
 # Fault injection must preserve the equivalence: the injector draws
 # from named RNG streams at hook sites, and site call order is part of
 # the engine transcript — so an identical FaultPlan + seed must break
-# things identically under every agenda.
+# things identically on both engines.
 # ---------------------------------------------------------------------------
-def faulted_transcript(core, plan_payload, seed):
+def faulted_transcript(engine_cls, plan_payload, seed):
     plan = FaultPlan.from_dict(plan_payload)
-    ctx = make_context(v100_server, 2, seed=seed, core=core,
-                       fault_plan=plan)
+    ctx = context_on(engine_cls, v100_server, 2, seed=seed,
+                     fault_plan=plan)
     gpu = ctx.machine.gpu(0).name
     specs = [
         JobSpec(job=JobHandle(name="bg", model=get_model("ResNet50"),
@@ -206,14 +241,8 @@ FAULT_PLANS = {
 @pytest.mark.parametrize("seed", [3, 11])
 def test_faulted_colocation_identical_under_all_agendas(plan_name,
                                                         seed):
-    payload = FAULT_PLANS[plan_name]
-    legacy = faulted_transcript("legacy", payload, seed)
-    for core in ("array", "twolane"):
-        other = faulted_transcript(core, payload, seed)
-        assert other[2] == legacy[2], core   # final clock
-        assert other[0] == legacy[0], core   # every trace span, in order
-        assert other[1] == legacy[1], core   # every run-log record
-        assert other[3] == legacy[3], core   # per-job stats
+    assert_transcripts_agree(faulted_transcript, FAULT_PLANS[plan_name],
+                             seed)
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
@@ -245,25 +274,23 @@ def test_random_fault_plans_preserve_equivalence(stall_p, slowdown_n,
         ],
         "recovery": {"restart_delay_ms": 5.0},
     }
-    legacy = faulted_transcript("legacy", payload, seed)
-    assert faulted_transcript("array", payload, seed) == legacy
-    assert faulted_transcript("twolane", payload, seed) == legacy
+    assert_transcripts_agree(faulted_transcript, payload, seed)
 
 
 # ---------------------------------------------------------------------------
 # Two-node cluster workloads: the topology layer (multi-hop routes,
 # route-cost migration targets, cross-node state transfers) must be as
-# core-independent as everything below it. Preemptions here force both
+# engine-independent as everything below it. Preemptions here force both
 # same-node and cross-node migrations into the transcript.
 # ---------------------------------------------------------------------------
-def cluster_transcript(core, seed, fg_delays=(500.0, 520.0),
+def cluster_transcript(engine_cls, seed, fg_delays=(500.0, 520.0),
                        fault_payload=None):
     from repro.hw import v100_cluster
 
     plan = (FaultPlan.from_dict(fault_payload)
             if fault_payload is not None else None)
-    ctx = make_context(v100_cluster, 2, 2, seed=seed, core=core,
-                       fault_plan=plan)
+    ctx = context_on(engine_cls, v100_cluster, 2, 2, seed=seed,
+                     fault_plan=plan)
     machine = ctx.machine
     specs = [
         JobSpec(job=JobHandle(name=f"bg{i}", model=get_model("ResNet50"),
@@ -288,17 +315,11 @@ def cluster_transcript(core, seed, fg_delays=(500.0, 520.0),
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_cluster_colocation_identical_under_all_agendas(seed):
-    legacy = cluster_transcript("legacy", seed)
+    reference = assert_transcripts_agree(cluster_transcript, seed)
     # The scenario must actually exercise the topology layer: at least
     # one multi-hop (cross-node) state transfer in the run log.
-    assert any(r.get("hops", 0) > 1 for r in legacy[1]
+    assert any(r.get("hops", 0) > 1 for r in reference[1]
                if r.get("event") == "state_transfer_start")
-    for core in ("array", "twolane"):
-        other = cluster_transcript(core, seed)
-        assert other[2] == legacy[2], core   # final clock
-        assert other[0] == legacy[0], core   # every trace span, in order
-        assert other[1] == legacy[1], core   # every run-log record
-        assert other[3] == legacy[3], core   # per-job stats
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
@@ -322,17 +343,13 @@ def test_random_cluster_workloads_preserve_equivalence(seed, delay0, gap,
         ],
         "recovery": {"restart_delay_ms": 5.0},
     }
-    delays = (delay0, delay0 + gap)
-    legacy = cluster_transcript("legacy", seed, fg_delays=delays,
-                                fault_payload=payload)
-    assert cluster_transcript("array", seed, fg_delays=delays,
-                              fault_payload=payload) == legacy
-    assert cluster_transcript("twolane", seed, fg_delays=delays,
-                              fault_payload=payload) == legacy
+    assert_transcripts_agree(cluster_transcript, seed,
+                             fg_delays=(delay0, delay0 + gap),
+                             fault_payload=payload)
 
 
 # ---------------------------------------------------------------------------
-# Array-core internals: the calendar/bucket agenda, the double-buffered
+# Engine internals: the array-structured calendar/bucket agenda, the double-buffered
 # immediate lane and the pooled Timeout path have edge cases (growth,
 # wraparound, re-entry) that generic workloads may not hit reliably.
 # ---------------------------------------------------------------------------
@@ -342,7 +359,7 @@ class TestArrayCoreEdges:
         # Thousands of same-time events force every pooled list to grow
         # far beyond its recycled capacity; ordering must stay schedule
         # order within each lane.
-        engine = Engine(core="array")
+        engine = Engine()
         log = []
         for index in range(5000):
             engine.timeout(1.0).callbacks.append(
@@ -354,9 +371,9 @@ class TestArrayCoreEdges:
     def test_immediate_lane_swap_cycling_with_interleaved_appends(self):
         # Each callback appends a new immediate event, forcing repeated
         # append-buffer/drain-buffer swaps while both buffers are live.
-        # The drain order must match the legacy heap bit for bit.
-        def run(core):
-            engine = Engine(core=core)
+        # The drain order must match the reference heap bit for bit.
+        def run(engine_cls):
+            engine = engine_cls()
             log = []
 
             def chain(chain_id, step):
@@ -373,13 +390,13 @@ class TestArrayCoreEdges:
             assert engine.now == 0.0
             return log
 
-        assert run("array") == run("legacy")
+        assert run(Engine) == run(ReferenceEngine)
 
     def test_horizon_reentry_resumes_pending_work(self):
         # run(until=N) snaps the clock to the horizon; a later run()
         # must still deliver events scheduled beyond it, and peek()
         # must see them in between.
-        engine = Engine(core="array")
+        engine = Engine()
         log = []
         for when in (5.0, 15.0, 25.0):
             engine.timeout(when).callbacks.append(
@@ -399,7 +416,7 @@ class TestArrayCoreEdges:
         # must run before the remaining NORMAL events of that slice.
         from repro.sim.events import URGENT
 
-        engine = Engine(core="array")
+        engine = Engine()
         log = []
 
         def first(_event):
@@ -414,7 +431,7 @@ class TestArrayCoreEdges:
         assert log == ["first", "urgent", "second"]
 
     def test_step_and_peek_drive_array_core(self):
-        engine = Engine(core="array")
+        engine = Engine()
         log = []
         engine.timeout(2.0).callbacks.append(lambda _e: log.append("a"))
         engine.timeout(2.0).callbacks.append(lambda _e: log.append("b"))
@@ -433,7 +450,7 @@ class TestArrayCoreEdges:
     def test_pooled_timeouts_recycle_without_crosstalk(self):
         # Long chains of waiter-path timeouts exercise pool reuse; each
         # reused Timeout must deliver its own fresh delay and value.
-        engine = Engine(core="array")
+        engine = Engine()
         seen = []
 
         def proc():
@@ -448,27 +465,20 @@ class TestArrayCoreEdges:
     def test_rejects_exotic_priorities(self):
         from repro.sim.errors import SimulationError
 
-        engine = Engine(core="array")
+        engine = Engine()
         with pytest.raises(SimulationError, match="URGENT/NORMAL"):
             engine.schedule(engine.event(), priority=7)
-
-    def test_core_selection(self):
-        assert Engine().core == "array"
-        assert Engine(fast_path=False).core == "legacy"
-        assert Engine(core="twolane").core == "twolane"
-        with pytest.raises(ValueError):
-            Engine(core="nonesuch")
 
 
 # ---------------------------------------------------------------------------
 # Serving front-end equivalence
 # ---------------------------------------------------------------------------
-def serving_transcript(core, seed):
-    """Full serving workload transcript under one engine core."""
+def serving_transcript(engine_cls, seed):
+    """Full serving workload transcript on one engine."""
     from repro.serving import (SLOTarget, ServedModelSpec, make_trace,
                                run_serving)
 
-    ctx = make_context(v100_server, 2, seed=seed, core=core)
+    ctx = context_on(engine_cls, v100_server, 2, seed=seed)
     gpu = ctx.machine.gpu(0).name
     trace = make_trace(ctx.rng, "serve", "bursty", 40.0, 1_200.0)
     served = ServedModelSpec(
@@ -496,9 +506,5 @@ def serving_transcript(core, seed):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_serving_identical_under_all_agendas(seed):
     """The serving workload (queue events, batching timeouts, preemption)
-    must be bit-identical across the three engine cores."""
-    reference = serving_transcript("legacy", seed)
-    for core in CORES:
-        if core == "legacy":
-            continue
-        assert serving_transcript(core, seed) == reference, core
+    must be bit-identical on both engines."""
+    assert_transcripts_agree(serving_transcript, seed)

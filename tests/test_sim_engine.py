@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import Engine, SimulationError
 from repro.sim.errors import UnhandledEventFailure
+from tests.reference_engine import ReferenceEngine
 
 
 def test_clock_starts_at_zero(engine):
@@ -163,10 +164,17 @@ def test_determinism_same_structure_same_schedule():
 # Clock semantics regressions: run(until=...) must leave the clock in a
 # consistent state on every exit path — normal horizon, early drain,
 # StopSimulation, and the _stop_on defuse path for a failed until-event.
+# Each runs on both event loops: the production engine and the reference
+# heap engine. The ids keep the names of the boolean parameter these
+# tests had when they selected a core (True = production engine).
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_failed_event_reraises_and_keeps_clock(fast):
-    engine = Engine(fast_path=fast)
+both_engines = pytest.mark.parametrize(
+    "engine_cls", [Engine, ReferenceEngine], ids=["True", "False"])
+
+
+@both_engines
+def test_run_until_failed_event_reraises_and_keeps_clock(engine_cls):
+    engine = engine_cls()
     watched = engine.event()
 
     def saboteur(env):
@@ -188,9 +196,9 @@ def test_run_until_failed_event_reraises_and_keeps_clock(fast):
     assert engine.now == 10.0
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_number_drain_early_lands_on_horizon_once(fast):
-    engine = Engine(fast_path=fast)
+@both_engines
+def test_run_until_number_drain_early_lands_on_horizon_once(engine_cls):
+    engine = engine_cls()
 
     def proc(env):
         yield env.timeout(2.0)
@@ -206,9 +214,9 @@ def test_run_until_number_drain_early_lands_on_horizon_once(fast):
     assert engine.now == 60.0
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_event_does_not_advance_to_later_agenda(fast):
-    engine = Engine(fast_path=fast)
+@both_engines
+def test_run_until_event_does_not_advance_to_later_agenda(engine_cls):
+    engine = engine_cls()
     stop = engine.event()
 
     def trigger(env):
@@ -224,11 +232,11 @@ def test_run_until_event_does_not_advance_to_later_agenda(fast):
     assert engine.now == 5.0
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_run_until_number_resumes_pending_entry(fast):
+@both_engines
+def test_run_until_number_resumes_pending_entry(engine_cls):
     # An entry beyond the horizon must survive for the next run() call
-    # (the fast loop pushes it back onto the heap).
-    engine = Engine(fast_path=fast)
+    # (the horizon check leaves it on the agenda).
+    engine = engine_cls()
     fired = []
 
     def proc(env):
@@ -243,9 +251,37 @@ def test_run_until_number_resumes_pending_entry(fast):
     assert fired == [7.0]
 
 
+@both_engines
+def test_run_until_pending_timeout_waits_for_its_fire_time(engine_cls):
+    # A Timeout is triggered from birth; run(until=it) must still run
+    # the agenda up to its delivery, earlier events included.
+    engine = engine_cls()
+    fired = []
+    engine.timeout(2.0).callbacks.append(lambda _e: fired.append(engine.now))
+    assert engine.run(until=engine.timeout(5.0, value="v")) == "v"
+    assert engine.now == 5.0
+    assert fired == [2.0]
+
+
+@both_engines
+def test_run_until_succeeded_event_waits_for_delivery(engine_cls):
+    # succeed() only schedules delivery; run(until=...) returns once
+    # the event's callbacks have run, and at once if they already have.
+    engine = engine_cls()
+    seen = []
+    event = engine.event()
+    event.callbacks.append(lambda e: seen.append(e.value))
+    event.succeed("x")
+    assert engine.run(until=event) == "x"
+    assert seen == ["x"]
+    assert engine.run(until=event) == "x"
+    assert seen == ["x"]
+
+
 def test_fast_and_legacy_dispatch_identical_order():
-    def build(fast):
-        engine = Engine(fast_path=fast)
+    def build(engine_cls):
+        engine = engine_cls()
+        assert type(engine) is engine_cls
         log = []
 
         def proc(env, name, delay):
@@ -264,7 +300,9 @@ def test_fast_and_legacy_dispatch_identical_order():
         engine.run()
         return log
 
-    assert build(True) == build(False)
+    reference = build(ReferenceEngine)
+    assert len(reference) == 24
+    assert build(Engine) == reference
 
 
 class TestEvery:
@@ -322,12 +360,12 @@ class TestEvery:
         assert worst < 1e-13
 
     def test_periodics_interleave_deterministically(self):
-        def build(fast):
-            eng = Engine(fast_path=fast)
+        def build(engine_cls):
+            eng = engine_cls()
             log = []
             eng.every(2.0, lambda env: log.append((env.now, "a")))
             eng.every(3.0, lambda env: log.append((env.now, "b")))
             eng.run(until=12.0)
             return log
 
-        assert build(True) == build(False)
+        assert build(Engine) == build(ReferenceEngine)

@@ -67,6 +67,35 @@ def test_timeout_is_triggered_at_birth_but_not_processed(engine):
     assert not timeout.processed
 
 
+def test_waiter_slot_delivers_in_subscription_order(engine):
+    # A process parked in the event's waiter slot is resumed before the
+    # listed callbacks. That must equal subscription order: the slot is
+    # only taken while the callback list is empty.
+    order = []
+
+    def waiter(env, event):
+        yield event
+        order.append("process")
+
+    parked_first = engine.event()
+    engine.process(waiter(engine, parked_first))
+    engine.run()
+    parked_first.callbacks.append(lambda _e: order.append("cb1"))
+    parked_first.callbacks.append(lambda _e: order.append("cb2"))
+    parked_first.succeed()
+    engine.run()
+    assert order == ["process", "cb1", "cb2"]
+
+    order.clear()
+    callback_first = engine.event()
+    callback_first.callbacks.append(lambda _e: order.append("callback"))
+    engine.process(waiter(engine, callback_first))
+    engine.run()
+    callback_first.succeed()
+    engine.run()
+    assert order == ["callback", "process"]
+
+
 def test_any_of_fires_on_first_processed(engine):
     slow = engine.timeout(10.0, value="slow")
     fast = engine.timeout(2.0, value="fast")
