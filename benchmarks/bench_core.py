@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
+from repro.core.options import RunOptions, using_options
 from repro.experiments.common import run_solo
 from repro.graph.cost_model import (
     COST_CACHE_STATS,
@@ -349,26 +349,14 @@ def bench_concurrency_overhead(iterations: int) -> dict:
     rates record what full happens-before and lockset-only analysis
     actually cost on the same workload.
     """
-    from repro.analysis.concurrency import CONCURRENCY_ENV
-
     model = get_model("MobileNetV2")
 
     def _run(mode) -> tuple:
-        previous = os.environ.get(CONCURRENCY_ENV)
-        if mode is None:
-            os.environ.pop(CONCURRENCY_ENV, None)
-        else:
-            os.environ[CONCURRENCY_ENV] = mode
         started = time.perf_counter()
-        try:
+        with using_options(RunOptions(concurrency=mode)):
             ctx, _stats = run_solo(single_gpu_server, (TESLA_V100,),
                                    model, batch=32, training=True,
                                    iterations=iterations)
-        finally:
-            if previous is None:
-                os.environ.pop(CONCURRENCY_ENV, None)
-            else:
-                os.environ[CONCURRENCY_ENV] = previous
         elapsed = time.perf_counter() - started
         tasks = ctx.metrics.value("pool.tasks_total")
         return (round(tasks / elapsed) if elapsed > 0 else 0, ctx)
@@ -399,21 +387,13 @@ def bench_obs_overhead(iterations: int) -> dict:
     catches observability creep on the hot path.
     """
     from repro.obs.profile import profile_run
-    from repro.obs.timeseries import TIMESERIES_ENV
 
     model = get_model("MobileNetV2")
-    previous = os.environ.get(TIMESERIES_ENV)
-    os.environ[TIMESERIES_ENV] = "50"
     started = time.perf_counter()
-    try:
+    with using_options(RunOptions(timeseries=(50.0, 512))):
         ctx, _stats = run_solo(single_gpu_server, (TESLA_V100,), model,
                                batch=32, training=True,
                                iterations=iterations)
-    finally:
-        if previous is None:
-            os.environ.pop(TIMESERIES_ENV, None)
-        else:
-            os.environ[TIMESERIES_ENV] = previous
     profile = profile_run(ctx)
     elapsed = time.perf_counter() - started
     tasks = ctx.metrics.value("pool.tasks_total")

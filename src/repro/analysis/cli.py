@@ -10,16 +10,13 @@ Subcommands::
 
 ``lint`` exits 1 on any ERROR finding; ``graphs`` builds each model's
 placed graph and partition and lints both; ``sanitize`` re-runs the
-named experiments with :data:`~repro.analysis.integration.SANITIZE_ENV`
-set, so every run's trace is checked and ERROR findings fail the
-invocation — the same machinery as ``switchflow-experiments
---sanitize``.
+named experiments through ``switchflow-experiments --sanitize``, so
+every run's trace is checked and ERROR findings fail the invocation.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -30,7 +27,6 @@ from repro.analysis.concurrency import (
 from repro.analysis.determinism import lint_paths
 from repro.analysis.findings import Report, Severity, merge
 from repro.analysis.graph_lint import lint_graph, lint_partition
-from repro.analysis.integration import SANITIZE_ENV
 
 
 def _finish(report: Report, quiet: bool = False) -> int:
@@ -74,15 +70,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         argv.append("--quick")
     if args.jobs != 1:
         argv.extend(["--jobs", str(args.jobs)])
-    previous = os.environ.get(SANITIZE_ENV)
-    os.environ[SANITIZE_ENV] = "1"
-    try:
-        return runner.main(argv)
-    finally:
-        if previous is None:
-            os.environ.pop(SANITIZE_ENV, None)
-        else:
-            os.environ[SANITIZE_ENV] = previous
+    return runner.main(argv + ["--sanitize"])
 
 
 def _cmd_concurrency(args: argparse.Namespace) -> int:

@@ -4,6 +4,7 @@ from repro.core.config import ConfigError, SwitchFlowConfig
 from repro.core.context import DEFAULT_TEMPORARY_WORKERS, RunContext, make_context
 from repro.core.gate import DeviceGate
 from repro.core.job import PRIORITY_HIGH, PRIORITY_LOW, JobHandle
+from repro.core.options import RunOptions, active_options, using_options
 from repro.core.policy import ComputeGrant, SchedulingPolicy
 from repro.core.switchflow import SwitchFlowPolicy
 
@@ -17,7 +18,10 @@ __all__ = [
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "RunContext",
+    "RunOptions",
     "SchedulingPolicy",
     "SwitchFlowPolicy",
+    "active_options",
     "make_context",
+    "using_options",
 ]

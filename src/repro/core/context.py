@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.core.options import RunOptions, active_options
 from repro.graph.cost_model import register_cost_cache_collector
 from repro.hw.machine import Machine
 from repro.obs.metrics import MetricsRegistry
@@ -33,7 +34,11 @@ class RunContext:
     def __init__(self, machine_factory: Callable[[Engine, Tracer], Machine],
                  seed: int = 0,
                  temporary_workers: int = DEFAULT_TEMPORARY_WORKERS,
-                 trace: bool = True) -> None:
+                 trace: bool = True,
+                 options: Optional[RunOptions] = None) -> None:
+        # The run settings (repro.core.options); attach_options()
+        # installs what they ask for when a harness starts the run.
+        self.options = active_options() if options is None else options
         self.engine = Engine()
         self.tracer = Tracer(self.engine, enabled=trace)
         self.metrics = MetricsRegistry(clock=lambda: self.engine.now)
@@ -182,6 +187,28 @@ class RunContext:
         self.serving = config
         return config
 
+    def attach_options(self, policy) -> None:
+        """Attach what :attr:`options` asks for; harnesses call this at
+        run start, once ``policy`` exists.
+
+        Order: faults (then bound to ``policy``), time series,
+        concurrency, serving. Anything already attached through an
+        ``attach_*`` method wins over the options.
+        """
+        options = self.options
+        if self.faults is None and options.faults is not None:
+            self.attach_faults(options.faults)
+        if self.faults is not None:
+            self.faults.bind_policy(policy)
+        if self.timeseries is None and options.timeseries is not None:
+            interval_ms, capacity = options.timeseries
+            self.attach_timeseries(interval_ms=interval_ms,
+                                   capacity=capacity)
+        if self.concurrency is None and options.concurrency is not None:
+            self.attach_concurrency(mode=options.concurrency)
+        if self.serving is None and options.serving is not None:
+            self.attach_serving(options.serving)
+
     @property
     def now(self) -> float:
         return self.engine.now
@@ -194,22 +221,13 @@ class RunContext:
 def make_context(machine_builder, *args, seed: int = 0,
                  trace: bool = True,
                  temporary_workers: int = DEFAULT_TEMPORARY_WORKERS,
-                 fault_plan=None,
-                 timeseries_interval_ms: Optional[float] = None,
-                 concurrency: Optional[str] = None,
-                 serving=None,
+                 options: Optional[RunOptions] = None,
                  **kwargs) -> RunContext:
-    """Convenience: ``make_context(v100_server, n_gpus=1, seed=1)``."""
+    """Convenience: ``make_context(v100_server, n_gpus=1, seed=1)``.
+
+    ``options`` defaults to the active :class:`RunOptions`.
+    """
     def factory(engine: Engine, tracer: Tracer) -> Machine:
         return machine_builder(engine, *args, tracer=tracer, **kwargs)
-    ctx = RunContext(factory, seed=seed, trace=trace,
-                     temporary_workers=temporary_workers)
-    if fault_plan is not None:
-        ctx.attach_faults(fault_plan)
-    if timeseries_interval_ms is not None:
-        ctx.attach_timeseries(interval_ms=timeseries_interval_ms)
-    if concurrency is not None:
-        ctx.attach_concurrency(mode=concurrency)
-    if serving is not None:
-        ctx.attach_serving(serving)
-    return ctx
+    return RunContext(factory, seed=seed, trace=trace,
+                      temporary_workers=temporary_workers, options=options)

@@ -16,16 +16,14 @@ The 2-node quick cell doubles as the CI smoke job: it must show at
 least one cross-node migration whose latency exceeds every same-node
 one, or the topology model is not doing its job.
 
-Environment knobs:
-
-* ``REPRO_CLUSTER_SCALE_SEED`` — root seed for every cell (default 0).
-* ``REPRO_CLUSTER_SCALE_JSON`` — path to dump the sweep as JSON.
+The runner's ``--faults`` replaces the built-in plan, ``--seed`` sets
+the root seed of every cell (default 0) and ``--json`` the path the
+sweep is dumped to.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import (
@@ -35,16 +33,15 @@ from repro.core import (
     SwitchFlowPolicy,
     make_context,
 )
+from repro.experiments import fault_sweep
 from repro.experiments.common import ExperimentResult, fanout_map
-from repro.faults import FaultPlan, plan_from_env
+from repro.experiments.fault_sweep import fault_free, options_with_plan
+from repro.faults import FaultPlan
 from repro.graph.partition import partition_graph
 from repro.graph.placement import GangMember, GangScheduler, place_graph
 from repro.hw.topology import v100_cluster
 from repro.models import get_model
 from repro.workloads import JobSpec, run_colocation
-
-SEED_ENV = "REPRO_CLUSTER_SCALE_SEED"
-JSON_ENV = "REPRO_CLUSTER_SCALE_JSON"
 
 #: Same survival rule as the fault sweep: a request lives if it lands
 #: within this multiple of the fault-free solo mean latency.
@@ -62,13 +59,7 @@ GPUS_PER_NODE = 2
 def default_plan() -> FaultPlan:
     """Moderate pressure, as the fault sweep applies (transfer failures
     included — they exercise the cross-node retry/backoff path)."""
-    from repro.experiments import fault_sweep
-
     return fault_sweep.default_plan()
-
-
-def _fault_free(plan: FaultPlan) -> FaultPlan:
-    return FaultPlan(faults=[], recovery=plan.recovery)
 
 
 def _critical_path_ms(ctx, model, batch: int, training: bool) -> float:
@@ -127,7 +118,7 @@ def _mean(values: Sequence[float]) -> Optional[float]:
 def _solo_reference_ms(requests: int, seed: int, plan: FaultPlan) -> float:
     """Fault-free solo mean latency of the foreground stream."""
     ctx = make_context(v100_cluster, 1, 1, seed=seed,
-                       fault_plan=_fault_free(plan))
+                       options=options_with_plan(fault_free(plan)))
     job = JobHandle(name="solo-fg", model=get_model(FG_MODEL), batch=1,
                     training=False, priority=PRIORITY_HIGH,
                     preferred_device=ctx.machine.gpu(0).name)
@@ -145,7 +136,7 @@ def _run_cell(cell) -> Dict[str, object]:
     n_nodes, gpus_per_node, requests, seed, slo_ms, plan_payload = cell
     plan = FaultPlan.from_dict(plan_payload)
     ctx = make_context(v100_cluster, n_nodes, gpus_per_node, seed=seed,
-                       fault_plan=plan)
+                       options=options_with_plan(plan))
     machine = ctx.machine
 
     # One background trainer per GPU; two foreground inference streams
@@ -211,12 +202,10 @@ def _run_cell(cell) -> Dict[str, object]:
 
 def run(requests: int = 30, nodes: Sequence[int] = FULL_NODES,
         gpus_per_node: int = GPUS_PER_NODE,
-        seed: Optional[int] = None, plan: Optional[FaultPlan] = None,
+        seed: int = 0, plan: Optional[FaultPlan] = None,
         json_path: Optional[str] = None) -> ExperimentResult:
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0"))
     if plan is None:
-        plan = plan_from_env() or default_plan()
+        plan = default_plan()
     slo_ms = SLO_FACTOR * _solo_reference_ms(requests, seed, plan)
 
     payload = plan.to_dict()
@@ -237,7 +226,6 @@ def run(requests: int = 30, nodes: Sequence[int] = FULL_NODES,
         "from the gang scheduler (spilled = members placed off their "
         "gang's home node).")
 
-    json_path = json_path or os.environ.get(JSON_ENV)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump({"seed": seed, "slo_ms": slo_ms,

@@ -4,15 +4,16 @@ the deterministic multiprocessing fan-out used by the parallel runner."""
 from __future__ import annotations
 
 import multiprocessing
-import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import MultiThreadedTF
 from repro.core import JobHandle, RunContext, make_context
+from repro.core.options import RunOptions, active_options, using_options
 from repro.core.policy import SchedulingPolicy
 from repro.metrics.throughput import JobStats
 from repro.models import ModelSpec
@@ -69,31 +70,29 @@ class ExperimentResult:
 # exact same output as the sequential one.
 # ---------------------------------------------------------------------------
 
-# Environment knob set by `switchflow-experiments --jobs N`; worker
-# processes force it to 1 so fan-outs never nest.
-JOBS_ENV_VAR = "REPRO_JOBS"
-
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Effective worker count: explicit arg, else $REPRO_JOBS, else 1."""
+    """Effective worker count: explicit arg, else the active options'
+    ``jobs`` (``switchflow-experiments --jobs N``)."""
     if jobs is None:
-        try:
-            jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
-        except ValueError:
-            jobs = 1
+        jobs = active_options().jobs
     return max(1, int(jobs))
 
 
 # Set inside workers: ProcessPoolExecutor children are not daemonic
 # (unlike the old multiprocessing.Pool ones), so nesting is prevented
 # explicitly rather than via the daemon flag.
-_WORKER_ENV = "REPRO_FANOUT_WORKER"
+_in_worker = False
+# Holds the worker's options for its whole life (never closed: the
+# worker exits with its pool).
+_worker_options = ExitStack()
 
 
-def _fanout_worker_init() -> None:
-    # Workers must not fan out again.
-    os.environ[JOBS_ENV_VAR] = "1"
-    os.environ[_WORKER_ENV] = "1"
+def _fanout_worker_init(options: RunOptions) -> None:
+    # Run under the parent's options; workers must not fan out again.
+    global _in_worker
+    _in_worker = True
+    _worker_options.enter_context(using_options(replace(options, jobs=1)))
 
 
 class WorkerCrashError(RuntimeError):
@@ -136,7 +135,7 @@ def fanout_map(fn: Callable[[Any], Any], items: Sequence[Any],
     plain-data args). Falls back to the serial path when ``jobs`` <= 1,
     there is at most one item, or we are already inside a pool worker —
     so callers can use it unconditionally. Output order always matches
-    input order.
+    input order. Workers run under the caller's active run options.
 
     Failure semantics: an exception raised by ``fn`` inside a worker is
     re-raised here as itself, with the worker's formatted traceback
@@ -147,7 +146,7 @@ def fanout_map(fn: Callable[[Any], Any], items: Sequence[Any],
     """
     items = list(items)
     jobs = min(resolve_jobs(jobs), len(items))
-    if (jobs <= 1 or os.environ.get(_WORKER_ENV)
+    if (jobs <= 1 or _in_worker
             or multiprocessing.current_process().daemon):
         return [fn(item) for item in items]
     methods = multiprocessing.get_all_start_methods()
@@ -156,7 +155,8 @@ def fanout_map(fn: Callable[[Any], Any], items: Sequence[Any],
     payloads = [(fn, item) for item in items]
     try:
         with ProcessPoolExecutor(max_workers=jobs, mp_context=context,
-                                 initializer=_fanout_worker_init) as pool:
+                                 initializer=_fanout_worker_init,
+                                 initargs=(active_options(),)) as pool:
             outcomes = list(pool.map(_capture_call, payloads))
     except BrokenProcessPool as exc:
         raise WorkerCrashError(

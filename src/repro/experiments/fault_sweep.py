@@ -10,22 +10,18 @@ recovered fault counts come straight from the ``faults.*`` metrics.
 
 ``rate`` scales the plan's trigger intensities (``0`` disables every
 fault — the control column; ``2`` fires twice as often), so one plan
-yields a survival-vs-pressure curve per policy. The plan comes from
-``$REPRO_FAULTS`` (the runner's ``--faults`` flag) or falls back to a
-moderate built-in. Every cell runs with whatever `repro.analysis`
-enforcement is active, so a sweep under ``--sanitize`` doubles as an
-adversarial proof of the paper's invariants.
-
-Environment knobs (used by the nightly CI matrix):
-
-* ``REPRO_FAULT_SWEEP_SEED`` — root seed for every cell (default 0).
-* ``REPRO_FAULT_SWEEP_JSON`` — path to dump the sweep as JSON.
+yields a survival-vs-pressure curve per policy. The plan is the
+runner's ``--faults`` plan or falls back to a moderate built-in. Every
+cell runs with whatever `repro.analysis` enforcement is active, so a
+sweep under ``--sanitize`` doubles as an adversarial proof of the
+paper's invariants. The runner's ``--seed`` sets the root seed of every
+cell (default 0) and ``--json`` the path the sweep is dumped to.
 """
 
 from __future__ import annotations
 
 import json
-import os
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.baselines import MPSPolicy, MultiThreadedTF, SessionTimeSlicing
@@ -33,17 +29,16 @@ from repro.core import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     JobHandle,
+    RunOptions,
     SwitchFlowPolicy,
+    active_options,
     make_context,
 )
 from repro.experiments.common import ExperimentResult, fanout_map
-from repro.faults import FaultPlan, plan_from_env
+from repro.faults import FaultPlan
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.workloads import JobSpec, run_colocation
-
-SEED_ENV = "REPRO_FAULT_SWEEP_SEED"
-JSON_ENV = "REPRO_FAULT_SWEEP_JSON"
 
 #: A request survives if it finishes within this multiple of the
 #: stream's fault-free solo mean latency.
@@ -79,20 +74,25 @@ def default_plan() -> FaultPlan:
     })
 
 
-def _fault_free(plan: FaultPlan) -> FaultPlan:
+def fault_free(plan: FaultPlan) -> FaultPlan:
     """An empty plan carrying the same recovery config.
 
-    Attached explicitly so the reference runs never pick up the
-    full-rate ``$REPRO_FAULTS`` plan through the harness.
+    Given explicitly so the reference runs never pick up the full-rate
+    ``--faults`` plan of the active run options.
     """
     return FaultPlan(faults=[], recovery=plan.recovery)
+
+
+def options_with_plan(plan: FaultPlan) -> RunOptions:
+    """The active run options with ``plan`` in place of their faults."""
+    return replace(active_options(), faults=plan)
 
 
 def _solo_reference_ms(requests: int, seed: int,
                        plan: FaultPlan) -> float:
     """Fault-free solo mean latency of the foreground stream."""
     ctx = make_context(v100_server, 2, seed=seed,
-                       fault_plan=_fault_free(plan))
+                       options=options_with_plan(fault_free(plan)))
     job = JobHandle(name="solo-fg", model=get_model(FG_MODEL), batch=1,
                     training=False, priority=PRIORITY_HIGH,
                     preferred_device=ctx.machine.gpu(0).name)
@@ -109,7 +109,8 @@ def _run_cell(cell) -> Dict[str, object]:
     the sweep fans across ``fanout_map`` workers."""
     policy_name, rate, plan_payload, requests, seed, slo_ms = cell
     plan = FaultPlan.from_dict(plan_payload).scaled(rate)
-    ctx = make_context(v100_server, 2, seed=seed, fault_plan=plan)
+    ctx = make_context(v100_server, 2, seed=seed,
+                       options=options_with_plan(plan))
     gpu = ctx.machine.gpu(0).name
     background = JobHandle(
         name="bg-train", model=get_model(BG_MODEL), batch=32,
@@ -142,12 +143,10 @@ def _run_cell(cell) -> Dict[str, object]:
 
 
 def run(requests: int = 30, rates: Sequence[float] = FULL_RATES,
-        seed: Optional[int] = None, plan: Optional[FaultPlan] = None,
+        seed: int = 0, plan: Optional[FaultPlan] = None,
         json_path: Optional[str] = None) -> ExperimentResult:
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0"))
     if plan is None:
-        plan = plan_from_env() or default_plan()
+        plan = default_plan()
     slo_ms = SLO_FACTOR * _solo_reference_ms(requests, seed, plan)
 
     payload = plan.to_dict()
@@ -168,7 +167,6 @@ def run(requests: int = 30, rates: Sequence[float] = FULL_RATES,
         "backoff, restart-from-checkpoint, victim re-admission, "
         "degradation to time slicing.")
 
-    json_path = json_path or os.environ.get(JSON_ENV)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump({"seed": seed, "slo_ms": slo_ms,

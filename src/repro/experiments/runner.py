@@ -12,15 +12,19 @@ experiment renders its complete output (table, optional timeline,
 headline checks) to a string inside the worker, and the parent prints
 the strings in request order — so a parallel run's stdout is
 byte-identical to the sequential run's. When a *single* experiment is
-requested, N is handed to the experiment itself (via $REPRO_JOBS) so
-experiments that fan out internally — e.g. fig3's per-config solo runs
-— can use the workers instead.
+requested, N is handed to the experiment itself (as the ``jobs`` run
+option) so experiments that fan out internally — e.g. fig3's per-config
+solo runs — can use the workers instead.
+
+Every other flag is parsed once into a
+:class:`~repro.core.options.RunOptions`, active while the experiments
+run and carried into every pool worker; a bad value exits 2 before any
+experiment starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Callable, Dict, Tuple
@@ -41,14 +45,17 @@ from repro.experiments import (
     serving_colocation,
     table1_state_transfer,
 )
-from repro.analysis.concurrency import CONCURRENCY_ENV
-from repro.analysis.integration import SANITIZE_ENV, SanitizationError
-from repro.experiments.common import JOBS_ENV_VAR, fanout_map
-from repro.faults import FAULTS_ENV, FaultPlan, FaultPlanError
+from repro.analysis.integration import SanitizationError
+from repro.core.options import (
+    OptionsError,
+    RunOptions,
+    active_options,
+    stale_environment,
+    using_options,
+)
+from repro.experiments.common import fanout_map
 from repro.obs.procpool import ProcPoolStats
-from repro.obs.timeseries import TIMESERIES_ENV
-from repro.serving.config import SERVING_ENV, ServingConfig, \
-    ServingConfigError
+
 
 # name -> (full-run callable, quick-run callable)
 EXPERIMENTS: Dict[str, Dict[str, Callable]] = {
@@ -106,23 +113,38 @@ EXPERIMENTS: Dict[str, Dict[str, Callable]] = {
         "full": lambda: ablations.run(),
         "quick": lambda: ablations.context_switch_sensitivity(),
     },
-    "fault_sweep": {
-        "full": lambda: fault_sweep.run(),
-        "quick": lambda: fault_sweep.run(
-            requests=8, rates=fault_sweep.QUICK_RATES),
-    },
-    "cluster_scale": {
-        "full": lambda: cluster_scale.run(),
-        "quick": lambda: cluster_scale.run(
-            requests=8, nodes=cluster_scale.QUICK_NODES),
-    },
-    "serving": {
-        "full": lambda: serving_colocation.run(),
-        "quick": lambda: serving_colocation.run(
-            duration_ms=serving_colocation.QUICK_DURATION_MS,
-            rates=serving_colocation.QUICK_RATES),
-    },
 }
+
+#: The sweeps that take ``--seed`` and ``--json``: name -> (run
+#: callable, quick-run kwargs, whether ``--faults`` is their ``plan``).
+SEEDED: Dict[str, Tuple[Callable, dict, bool]] = {
+    "fault_sweep": (fault_sweep.run,
+                    dict(requests=8, rates=fault_sweep.QUICK_RATES), True),
+    "cluster_scale": (cluster_scale.run,
+                      dict(requests=8, nodes=cluster_scale.QUICK_NODES),
+                      True),
+    "serving": (serving_colocation.run,
+                dict(duration_ms=serving_colocation.QUICK_DURATION_MS,
+                     rates=serving_colocation.QUICK_RATES), False),
+}
+
+
+def _seeded_run(run: Callable, kwargs: dict, plan: bool) -> Callable:
+    """``run`` under the active options' ``--seed``/``--json`` (and
+    ``--faults`` as ``plan`` when it takes one)."""
+    def call():
+        options = active_options()
+        args = dict(kwargs, seed=options.seed, json_path=options.json)
+        if plan:
+            args["plan"] = options.faults
+        return run(**args)
+    return call
+
+
+EXPERIMENTS.update({
+    name: {"full": _seeded_run(run, {}, plan),
+           "quick": _seeded_run(run, quick, plan)}
+    for name, (run, quick, plan) in SEEDED.items()})
 
 ExperimentSpec = Tuple[str, str, bool]   # (name, mode, render timeline)
 
@@ -197,42 +219,30 @@ def main(argv=None) -> int:
                              "run_serving harness (repro.serving), as "
                              "'key=value,...'; keys: rate, kind, queue, "
                              "shed, batch, timeout, slo")
+    parser.add_argument("--concurrency-report", metavar="PATH",
+                        default=None,
+                        help="append every run's concurrency report to "
+                             "PATH (needs --concurrency)")
+    parser.add_argument("--flight-dir", metavar="DIR", default=None,
+                        help="write a flight record into DIR when a run "
+                             "aborts (deadlock or sanitizer error)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="root seed of the " + ", ".join(SEEDED)
+                             + " sweeps (default 0)")
+    parser.add_argument("--json", metavar="PATH", default=None,
+                        help="dump the rows of one " + ", ".join(SEEDED)
+                             + " sweep to PATH")
     args = parser.parse_args(argv)
 
-    if args.concurrency is not None and \
-            args.concurrency not in ("hb", "lockset", "1"):
-        print(f"--concurrency: expected 'hb' or 'lockset', got "
-              f"{args.concurrency!r}", file=sys.stderr)
+    stale = stale_environment()
+    if stale:
+        print(stale, file=sys.stderr)
         return 2
-
-    if args.faults is not None:
-        # Fail fast on a bad plan, before any experiment burns time.
-        try:
-            FaultPlan.load(args.faults)
-        except FaultPlanError as exc:
-            print(f"--faults: {exc}", file=sys.stderr)
-            return 2
-
-    if args.timeseries is not None:
-        # Same fail-fast validation as --faults: reject a malformed
-        # interval spec before any experiment burns time.
-        interval, _, capacity = args.timeseries.partition(":")
-        try:
-            if float(interval) <= 0 or (capacity and int(capacity) < 1):
-                raise ValueError
-        except ValueError:
-            print(f"--timeseries: expected 'MS[:capacity]' with a "
-                  f"positive interval, got {args.timeseries!r}",
-                  file=sys.stderr)
-            return 2
-
-    if args.serving is not None:
-        # Fail fast on a bad override spec, like --faults/--timeseries.
-        try:
-            ServingConfig.parse(args.serving)
-        except ServingConfigError as exc:
-            print(f"--serving: {exc}", file=sys.stderr)
-            return 2
+    try:
+        options = RunOptions.from_args(args)
+    except OptionsError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     if args.list or not args.experiments:
         print("available experiments:")
@@ -251,79 +261,38 @@ def main(argv=None) -> int:
             continue
         valid.append(name)
 
-    jobs = max(1, args.jobs)
+    unseeded = [name for name in valid if name not in SEEDED]
+    for flag, given in (("--seed", args.seed), ("--json", args.json)):
+        if given is not None and unseeded:
+            print(f"{flag} applies only to {', '.join(SEEDED)}; "
+                  f"not to {', '.join(unseeded)}", file=sys.stderr)
+            return 2
+    if args.json is not None and len(valid) > 1:
+        print("--json names one file; run one experiment with it",
+              file=sys.stderr)
+        return 2
+
     mode = "quick" if args.quick else "full"
     specs = [(name, mode, args.timeline) for name in valid]
-
-    previous_env = os.environ.get(JOBS_ENV_VAR)
-    previous_sanitize = os.environ.get(SANITIZE_ENV)
-    previous_faults = os.environ.get(FAULTS_ENV)
-    previous_timeseries = os.environ.get(TIMESERIES_ENV)
-    previous_concurrency = os.environ.get(CONCURRENCY_ENV)
-    previous_serving = os.environ.get(SERVING_ENV)
-    if jobs > 1 and len(valid) == 1:
-        # A single experiment cannot fan across experiments — hand the
-        # workers to its internal config fan-out instead.
-        os.environ[JOBS_ENV_VAR] = str(jobs)
-    if args.sanitize:
-        # Environment (not a parameter) so forked pool workers inherit.
-        os.environ[SANITIZE_ENV] = "1"
-    if args.faults is not None:
-        # Same pattern: run_colocation attaches the plan in whichever
-        # process the experiment executes in.
-        os.environ[FAULTS_ENV] = args.faults
-    if args.timeseries is not None:
-        os.environ[TIMESERIES_ENV] = args.timeseries
-    if args.concurrency is not None:
-        os.environ[CONCURRENCY_ENV] = args.concurrency
-    if args.serving is not None:
-        # run_serving applies the overrides in whichever process the
-        # experiment executes in.
-        os.environ[SERVING_ENV] = args.serving
     started = time.perf_counter()  # noqa: repro-analysis (wall-time stats)
     try:
-        outputs = fanout_map(_render_experiment, specs,
-                             jobs=jobs if len(valid) > 1 else 1)
+        with using_options(options):
+            # A single experiment cannot fan across experiments: it
+            # gets the workers (options.jobs) for its internal fan-out.
+            outputs = fanout_map(
+                _render_experiment, specs,
+                jobs=options.jobs if len(valid) > 1 else 1)
     except SanitizationError as exc:
         print(f"sanitizer: invariant violation\n{exc}", file=sys.stderr)
         return 1
-    finally:
-        if previous_env is None:
-            os.environ.pop(JOBS_ENV_VAR, None)
-        else:
-            os.environ[JOBS_ENV_VAR] = previous_env
-        if args.sanitize:
-            if previous_sanitize is None:
-                os.environ.pop(SANITIZE_ENV, None)
-            else:
-                os.environ[SANITIZE_ENV] = previous_sanitize
-        if args.faults is not None:
-            if previous_faults is None:
-                os.environ.pop(FAULTS_ENV, None)
-            else:
-                os.environ[FAULTS_ENV] = previous_faults
-        if args.timeseries is not None:
-            if previous_timeseries is None:
-                os.environ.pop(TIMESERIES_ENV, None)
-            else:
-                os.environ[TIMESERIES_ENV] = previous_timeseries
-        if args.concurrency is not None:
-            if previous_concurrency is None:
-                os.environ.pop(CONCURRENCY_ENV, None)
-            else:
-                os.environ[CONCURRENCY_ENV] = previous_concurrency
-        if args.serving is not None:
-            if previous_serving is None:
-                os.environ.pop(SERVING_ENV, None)
-            else:
-                os.environ[SERVING_ENV] = previous_serving
     elapsed = time.perf_counter() - started  # noqa: repro-analysis (wall-time stats)
 
     for _name, text, _wall in outputs:
         sys.stdout.write(text)
 
     if args.stats:
-        pool_stats = ProcPoolStats(jobs=min(jobs, max(1, len(valid))))
+        pool_stats = ProcPoolStats(
+            jobs=min(options.jobs, max(1, len(valid))))
         for name, _text, wall in outputs:
             pool_stats.record(name, wall)
         print(pool_stats.render(elapsed), file=sys.stderr)

@@ -5,12 +5,11 @@ a :class:`FaultPlan` injects crashes, stalls, OOM, transfer failures
 and spurious preemptions into a run, the runtime recovers (retry with
 backoff, restart-from-checkpoint, victim re-admission, degradation to
 time slicing), and `repro.analysis` then verifies the paper's
-invariants still held throughout.
+invariants still held throughout. A plan reaches a run through
+``RunContext.attach_faults`` or the run options (``--faults``).
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
@@ -30,35 +29,8 @@ from repro.faults.recovery import (
     backoff_ms,
 )
 
-#: Environment variable naming a fault-plan JSON file. The experiment
-#: runner's ``--faults`` flag sets it; harnesses read it via
-#: :func:`maybe_attach_from_env` so fault plans survive the fork into
-#: ``fanout_map`` workers, like ``REPRO_SANITIZE`` does.
-FAULTS_ENV = "REPRO_FAULTS"
-
-
-def plan_from_env() -> "FaultPlan | None":
-    """The plan named by ``$REPRO_FAULTS``, or None when unset."""
-    path = os.environ.get(FAULTS_ENV, "").strip()
-    if not path:
-        return None
-    return FaultPlan.load(path)
-
-
-def maybe_attach_from_env(ctx) -> "FaultInjector | None":
-    """Attach the env-configured plan to ``ctx`` (idempotent no-op
-    when ``$REPRO_FAULTS`` is unset or faults are already attached)."""
-    if ctx.faults is not None:
-        return ctx.faults
-    plan = plan_from_env()
-    if plan is None:
-        return None
-    return ctx.attach_faults(plan)
-
-
 __all__ = [
     "CLOCK_KINDS",
-    "FAULTS_ENV",
     "KINDS",
     "SITE_KINDS",
     "DegradationTracker",
@@ -71,6 +43,4 @@ __all__ = [
     "RecoveryConfig",
     "Trigger",
     "backoff_ms",
-    "maybe_attach_from_env",
-    "plan_from_env",
 ]

@@ -17,14 +17,14 @@ The module also hosts the **flight recorder**: a post-mortem snapshot
 (open spans, recent records, pending decisions, gate state, recent
 time-series windows) captured automatically when a run dies on a
 :class:`~repro.analysis.integration.SanitizationError` or a deadlock
-abort, and written to ``$REPRO_FLIGHT_DIR`` when set.
+abort, and written to the run's ``flight_dir`` option
+(``--flight-dir``) when set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -32,9 +32,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.obs.runlog import RunLog
 
 DECISION_EVENT = "sched_decision"
-
-#: Environment variable naming a directory for flight-recorder dumps.
-FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 
 #: Decision kinds (the vocabulary the CLI and tests key on).
 KINDS = ("admit", "preempt", "migrate", "readmit", "spurious_preempt",
@@ -206,12 +203,12 @@ def dump_flight_record(ctx, reason: str, policy=None,
                        path: Optional[Path] = None) -> Optional[Path]:
     """Write a flight record to disk; returns the path (None = not asked).
 
-    With no explicit ``path``, the dump lands in ``$REPRO_FLIGHT_DIR``
-    (created if needed); unset means no dump — the snapshot is cheap
-    but unsolicited files are not.
+    With no explicit ``path``, the dump lands in the directory named
+    by ``ctx.options.flight_dir`` (created if needed); unset means no
+    dump — the snapshot is cheap but unsolicited files are not.
     """
     if path is None:
-        directory = os.environ.get(FLIGHT_DIR_ENV)
+        directory = ctx.options.flight_dir
         if not directory:
             return None
         slug = "".join(c if c.isalnum() or c in "-_" else "-"

@@ -20,6 +20,12 @@ import json
 import sys
 from typing import Callable, Dict, List, Optional
 
+from repro.core.options import (
+    DEFAULT_TIMESERIES_CAPACITY,
+    RunOptions,
+    stale_environment,
+    using_options,
+)
 from repro.obs.chrome_trace import write_chrome_trace
 from repro.sim.trace import render_ascii_timeline
 
@@ -352,6 +358,10 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics-json", metavar="PATH",
                         help="also write the full metrics snapshot (JSON)")
     args = parser.parse_args(argv)
+    stale = stale_environment()
+    if stale:
+        print(stale, file=sys.stderr)
+        return 2
     if args.iterations < 1:
         parser.error("--iterations must be >= 1")
     if args.width < 8:
@@ -365,22 +375,12 @@ def main(argv=None) -> int:
 
     if args.timeseries is not None and args.timeseries <= 0:
         parser.error("--timeseries must be positive")
-    if args.timeseries is not None:
-        # Workload factories build their own RunContext; the env var is
-        # the channel the colocation harness attaches samplers through.
-        from repro.obs.timeseries import TIMESERIES_ENV
-        import os
-
-        saved = os.environ.get(TIMESERIES_ENV)
-        os.environ[TIMESERIES_ENV] = str(args.timeseries)
-        try:
-            ctx = WORKLOADS[args.workload](args.seed, args.iterations)
-        finally:
-            if saved is None:
-                os.environ.pop(TIMESERIES_ENV, None)
-            else:
-                os.environ[TIMESERIES_ENV] = saved
-    else:
+    options = RunOptions(
+        timeseries=None if args.timeseries is None
+        else (args.timeseries, DEFAULT_TIMESERIES_CAPACITY))
+    # Workload factories build their own RunContext, which takes the
+    # active options; the harness attaches the sampler at run start.
+    with using_options(options):
         ctx = WORKLOADS[args.workload](args.seed, args.iterations)
     print(f"== run report: {args.workload} (seed={args.seed}) ==")
     print(run_summary(ctx, width=args.width))

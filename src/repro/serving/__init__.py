@@ -24,13 +24,7 @@ from repro.serving.arrivals import (
     poisson_trace,
 )
 from repro.serving.batcher import Batch, CLOSE_REASONS, RequestBatcher
-from repro.serving.config import (
-    SERVING_ENV,
-    ServingConfig,
-    ServingConfigError,
-    config_from_env,
-    maybe_attach_serving_from_env,
-)
+from repro.serving.config import ServingConfig, ServingConfigError
 from repro.serving.frontend import (
     ServedModelSpec,
     ServingFrontEnd,
@@ -48,7 +42,6 @@ __all__ = [
     "CLOSE_REASONS",
     "RequestBatcher",
     "Request",
-    "SERVING_ENV",
     "SHED_POLICIES",
     "SLOTarget",
     "ServedModelSpec",
@@ -59,10 +52,8 @@ __all__ = [
     "ServingStats",
     "TRACE_KINDS",
     "bursty_trace",
-    "config_from_env",
     "diurnal_trace",
     "make_trace",
-    "maybe_attach_serving_from_env",
     "poisson_trace",
     "run_serving",
 ]

@@ -11,18 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.concurrency import (
-    finalize_concurrency,
-    maybe_attach_concurrency_from_env,
-)
+from repro.analysis.concurrency import finalize_concurrency
 from repro.analysis.integration import enforce
 from repro.core.context import RunContext
-from repro.faults import maybe_attach_from_env
 from repro.core.job import JobHandle
 from repro.core.policy import SchedulingPolicy
 from repro.metrics.latency import LatencySummary
 from repro.metrics.throughput import JobStats
-from repro.obs.timeseries import maybe_attach_timeseries_from_env
 from repro.workloads.drivers import JobDriver
 
 
@@ -79,23 +74,15 @@ def run_colocation(ctx: RunContext,
     Background jobs are stopped (gracefully, at the next iteration
     boundary) once every foreground job has completed, mirroring the
     paper's methodology of measuring a foreground stream against a
-    long-running background trainer.
+    long-running background trainer. The context's run options
+    (``ctx.options``) attach their fault plan, time-series sampler and
+    concurrency tracker at run start and decide whether the finished
+    run is sanitized.
     """
     if not specs:
         raise ValueError("no jobs to run")
     policy = policy_factory(ctx)
-    # With $REPRO_FAULTS set (runner --faults), attach the fault plan —
-    # unless the caller already attached one explicitly — and give its
-    # clock faults the policy to act through.
-    maybe_attach_from_env(ctx)
-    if ctx.faults is not None:
-        ctx.faults.bind_policy(policy)
-    # Likewise $REPRO_TIMESERIES (runner --timeseries) arms windowed
-    # metric sampling for the run.
-    maybe_attach_timeseries_from_env(ctx)
-    # And $REPRO_CONCURRENCY (runner --concurrency) attaches the
-    # happens-before/lockset/deadlock tracker.
-    maybe_attach_concurrency_from_env(ctx)
+    ctx.attach_options(policy)
     stop_signal = ctx.engine.event()
     drivers: List[JobDriver] = [
         JobDriver(
@@ -135,8 +122,8 @@ def run_colocation(ctx: RunContext,
         if spec.job not in ctx.jobs:
             ctx.jobs.append(spec.job)
 
-    # With $REPRO_SANITIZE set (runner --sanitize), verify the paper's
-    # trace invariants and the session graphs; ERROR findings raise.
+    # Under --sanitize, verify the paper's trace invariants and the
+    # session graphs; ERROR findings raise.
     label = ",".join(spec.job.name for spec in specs)
     try:
         enforce(ctx, policy=policy,

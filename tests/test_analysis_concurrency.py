@@ -3,18 +3,14 @@
 import pytest
 
 from repro.analysis.concurrency import (
-    CONCURRENCY_ENV,
-    CONCURRENCY_REPORT_ENV,
     ConcurrencyTracker,
     WaitForGraph,
-    concurrency_enabled,
     deadlock_from_runlog,
     finalize_concurrency,
     lint_concurrency_source,
-    maybe_attach_concurrency_from_env,
 )
 from repro.analysis.findings import Severity
-from repro.core import JobHandle, SwitchFlowPolicy, make_context
+from repro.core import JobHandle, RunOptions, SwitchFlowPolicy, make_context
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.runtime.rendezvous import Rendezvous
@@ -323,7 +319,8 @@ class TestWaitForGraph:
 # ---------------------------------------------------------------------------
 class TestEndToEnd:
     def test_clean_colocation_run_has_no_findings(self):
-        ctx = make_context(v100_server, 2, seed=0, concurrency="hb")
+        ctx = make_context(v100_server, 2, seed=0,
+                           options=RunOptions(concurrency="hb"))
         trainer = JobHandle(
             name="train", model=get_model("ResNet50"), batch=16,
             training=True, preferred_device=ctx.machine.gpu(0).name)
@@ -340,7 +337,8 @@ class TestEndToEnd:
         assert ctx.concurrency.sync_ops > 0
 
     def test_live_runlog_replays_clean(self):
-        ctx = make_context(v100_server, 2, seed=0, concurrency="hb")
+        ctx = make_context(v100_server, 2, seed=0,
+                           options=RunOptions(concurrency="hb"))
         job = JobHandle(name="solo", model=get_model("MobileNetV2"),
                         batch=8, training=False,
                         preferred_device=ctx.machine.gpu(0).name)
@@ -350,8 +348,7 @@ class TestEndToEnd:
             record for record in ctx.runlog.records)
         assert not report.has_errors
 
-    def test_stale_tracker_ignores_other_engines(self, monkeypatch):
-        monkeypatch.delenv(CONCURRENCY_ENV, raising=False)
+    def test_stale_tracker_ignores_other_engines(self):
         _engine, tracker = tracked_engine()
         # A fresh context's run fires every sync hook with objects from
         # its own engine; the stale tracker must drop all of them.
@@ -366,28 +363,32 @@ class TestEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# Harness integration: env attach, finalize, report file
+# Harness integration: options attach, finalize, report file
 # ---------------------------------------------------------------------------
 class TestHarnessIntegration:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(CONCURRENCY_ENV, raising=False)
-        assert not concurrency_enabled()
+    def test_disabled_by_default(self):
         ctx = make_context(v100_server, 1, seed=1)
-        assert maybe_attach_concurrency_from_env(ctx) is None
+        assert ctx.options.concurrency is None
+        ctx.attach_options(policy=None)
         assert ctx.concurrency is None
 
-    def test_env_attaches_and_selects_mode(self, monkeypatch):
-        monkeypatch.setenv(CONCURRENCY_ENV, "lockset")
-        ctx = make_context(v100_server, 1, seed=1)
-        tracker = maybe_attach_concurrency_from_env(ctx)
-        assert tracker is ctx.concurrency
-        assert tracker.mode == "lockset"
-        # An explicit attach wins; env attach is then a no-op.
-        assert maybe_attach_concurrency_from_env(ctx) is None
+    def test_env_attaches_and_selects_mode(self):
+        # The run options attach the tracker in the mode they name.
+        ctx = make_context(v100_server, 1, seed=1,
+                           options=RunOptions(concurrency="lockset"))
+        ctx.attach_options(policy=None)
+        assert ctx.concurrency.mode == "lockset"
+        # An explicit attach wins; the options then attach nothing.
+        explicit = make_context(v100_server, 1, seed=1,
+                                options=RunOptions(concurrency="lockset"))
+        tracker = explicit.attach_concurrency(mode="hb")
+        explicit.attach_options(policy=None)
+        assert explicit.concurrency is tracker
+        assert tracker.mode == "hb"
 
-    def test_finalize_is_idempotent_and_exports_metrics(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        ctx = make_context(v100_server, 1, seed=1, concurrency="hb")
+    def test_finalize_is_idempotent_and_exports_metrics(self):
+        ctx = make_context(v100_server, 1, seed=1)
+        ctx.attach_concurrency(mode="hb")
         report = finalize_concurrency(ctx, label="t")
         assert report is not None
         assert report.title == "concurrency: t"
@@ -395,15 +396,17 @@ class TestHarnessIntegration:
         assert finalize_concurrency(ctx) is None  # second call: no-op
         assert instrument.TRACKER is None
 
-    def test_finalize_appends_report_file(self, monkeypatch, tmp_path):
+    def test_finalize_appends_report_file(self, tmp_path):
         out = tmp_path / "concurrency.txt"
-        monkeypatch.setenv(CONCURRENCY_REPORT_ENV, str(out))
-        ctx = make_context(v100_server, 1, seed=1, concurrency="hb")
+        ctx = make_context(v100_server, 1, seed=1, options=RunOptions(
+            concurrency="hb", concurrency_report=str(out)))
+        ctx.attach_options(policy=None)
         finalize_concurrency(ctx, label="filecheck")
         assert "concurrency: filecheck" in out.read_text(encoding="utf-8")
 
     def test_double_attach_rejected(self):
-        ctx = make_context(v100_server, 1, seed=1, concurrency="hb")
+        ctx = make_context(v100_server, 1, seed=1)
+        ctx.attach_concurrency()
         with pytest.raises(RuntimeError):
             ctx.attach_concurrency()
 

@@ -4,22 +4,28 @@ import pytest
 
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.integration import (
-    SANITIZE_ENV,
     SanitizationError,
     analyze_context,
     enforce,
-    sanitize_enabled,
 )
 from repro.baselines import MultiThreadedTF
-from repro.core import JobHandle, make_context
+from repro.core import (
+    JobHandle,
+    RunOptions,
+    active_options,
+    make_context,
+    using_options,
+)
+from repro.core.options import STALE_PREFIX, stale_environment
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.sim.trace import Span
 from repro.workloads import JobSpec, run_colocation
 
 
-def small_run(seed=3):
-    ctx = make_context(v100_server, 1, seed=seed)
+def small_run(seed=3, sanitize=None):
+    options = None if sanitize is None else RunOptions(sanitize=sanitize)
+    ctx = make_context(v100_server, 1, seed=seed, options=options)
     job = JobHandle(name="solo", model=get_model("MobileNetV2"), batch=8,
                     training=False,
                     preferred_device=ctx.machine.gpu(0).name)
@@ -45,38 +51,42 @@ def forge_violation(ctx):
 
 
 class TestEnvGate:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
-        assert not sanitize_enabled()
+    """The ``sanitize`` run option is the only switch."""
 
-    def test_zero_and_empty_mean_disabled(self, monkeypatch):
-        for value in ("", "0"):
-            monkeypatch.setenv(SANITIZE_ENV, value)
-            assert not sanitize_enabled()
+    def test_disabled_by_default(self):
+        assert not RunOptions().sanitize
+        assert not active_options().sanitize
+        assert not make_context(v100_server, 1).options.sanitize
 
-    def test_any_other_value_enables(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        assert sanitize_enabled()
+    def test_zero_and_empty_mean_disabled(self):
+        # The retired variable can neither enable nor disable
+        # sanitizing: any value of it is an error naming the flag.
+        for value in ("", "0", "1"):
+            stale = stale_environment({STALE_PREFIX + "SANITIZE": value})
+            assert "--sanitize" in stale
+
+    def test_any_other_value_enables(self):
+        with using_options(RunOptions(sanitize=True)):
+            ctx = make_context(v100_server, 1)
+        assert ctx.options.sanitize
+        assert not active_options().sanitize
 
 
 class TestEnforce:
-    def test_noop_when_disabled(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+    def test_noop_when_disabled(self):
         ctx, policy = small_run()
         forge_violation(ctx)  # even a bad trace passes silently
         assert enforce(ctx, policy=policy) is None
 
-    def test_clean_run_returns_the_report(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        ctx, policy = small_run()
+    def test_clean_run_returns_the_report(self):
+        ctx, policy = small_run(sanitize=True)
         report = enforce(ctx, policy=policy, label="smoke")
         assert report is not None
         assert not report.has_errors
         assert report.title == "analysis: smoke"
 
-    def test_error_finding_raises(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        ctx, _policy = small_run()
+    def test_error_finding_raises(self):
+        ctx, _policy = small_run(sanitize=True)
         forge_violation(ctx)
         # No policy given: the exclusivity invariant is enforced.
         with pytest.raises(SanitizationError) as excinfo:
@@ -84,11 +94,10 @@ class TestEnforce:
         assert "mutual-exclusion" in str(excinfo.value)
         assert excinfo.value.report.has_errors
 
-    def test_sanitized_colocation_runs_inline(self, monkeypatch):
+    def test_sanitized_colocation_runs_inline(self):
         # run_colocation itself calls enforce: a clean run under the
         # flag must complete without raising.
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        ctx, _policy = small_run()
+        ctx, _policy = small_run(sanitize=True)
         assert ctx.metrics.value("analysis.runs_total") >= 1
 
 
@@ -128,22 +137,20 @@ class TestCli:
 
     def test_sanitize_subcommand_sets_and_restores_env(
             self, monkeypatch, capsys):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        from repro.experiments import runner
+
         seen = {}
 
-        def fake_main(argv):
-            import os
-            seen["argv"] = argv
-            seen["env"] = os.environ.get(SANITIZE_ENV)
-            return 0
+        def clean_experiment():
+            seen["sanitize"] = active_options().sanitize
+            return _FakeResult()
 
-        from repro.experiments import runner
-        monkeypatch.setattr(runner, "main", fake_main)
-        assert analysis_main(["sanitize", "fig3", "--quick"]) == 0
-        assert seen["argv"] == ["fig3", "--quick"]
-        assert seen["env"] == "1"
-        import os
-        assert os.environ.get(SANITIZE_ENV) is None
+        monkeypatch.setitem(
+            runner.EXPERIMENTS, "motivation",
+            {"quick": clean_experiment, "full": clean_experiment})
+        assert analysis_main(["sanitize", "motivation", "--quick"]) == 0
+        assert seen["sanitize"] is True
+        assert active_options() == RunOptions()
 
 
 class _FakeResult:
@@ -172,22 +179,21 @@ class TestRunnerFlag:
         err = capsys.readouterr().err
         assert "invariant violation" in err
         assert "mutual-exclusion" in err
+        # Leaving through SanitizationError still restores the options.
+        assert active_options() == RunOptions()
 
     def test_runner_sanitize_flag_restores_env(self, monkeypatch, capsys):
-        import os
-
         from repro.experiments import runner
 
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
         seen = {}
 
         def clean_experiment():
-            seen["env"] = os.environ.get(SANITIZE_ENV)
+            seen["sanitize"] = active_options().sanitize
             return _FakeResult()
 
         monkeypatch.setitem(
             runner.EXPERIMENTS, "motivation",
             {"quick": clean_experiment, "full": clean_experiment})
         assert runner.main(["motivation", "--quick", "--sanitize"]) == 0
-        assert seen["env"] == "1"
-        assert os.environ.get(SANITIZE_ENV) is None
+        assert seen["sanitize"] is True
+        assert active_options() == RunOptions()

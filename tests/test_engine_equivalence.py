@@ -15,6 +15,7 @@ from repro.core import (
     JobHandle,
     PRIORITY_HIGH,
     PRIORITY_LOW,
+    RunOptions,
     make_context,
 )
 from repro.core import context as context_module
@@ -194,7 +195,7 @@ def test_colocation_identical_under_all_agendas(workload, seed):
 def faulted_transcript(engine_cls, plan_payload, seed):
     plan = FaultPlan.from_dict(plan_payload)
     ctx = context_on(engine_cls, v100_server, 2, seed=seed,
-                     fault_plan=plan)
+                     options=RunOptions(faults=plan))
     gpu = ctx.machine.gpu(0).name
     specs = [
         JobSpec(job=JobHandle(name="bg", model=get_model("ResNet50"),
@@ -290,7 +291,7 @@ def cluster_transcript(engine_cls, seed, fg_delays=(500.0, 520.0),
     plan = (FaultPlan.from_dict(fault_payload)
             if fault_payload is not None else None)
     ctx = context_on(engine_cls, v100_cluster, 2, 2, seed=seed,
-                     fault_plan=plan)
+                     options=RunOptions(faults=plan))
     machine = ctx.machine
     specs = [
         JobSpec(job=JobHandle(name=f"bg{i}", model=get_model("ResNet50"),

@@ -11,6 +11,7 @@ from repro.core import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     JobHandle,
+    RunOptions,
     make_context,
 )
 from repro.core.switchflow import SwitchFlowPolicy
@@ -24,7 +25,8 @@ def run_faulted(plan_payload, policy=SwitchFlowPolicy, seed=7,
                 bg_iters=6, fg_iters=3):
     """The standard two-job preempting workload, under a fault plan."""
     plan = FaultPlan.from_dict(plan_payload)
-    ctx = make_context(v100_server, 2, seed=seed, fault_plan=plan)
+    ctx = make_context(v100_server, 2, seed=seed,
+                       options=RunOptions(faults=plan))
     gpu = ctx.machine.gpu(0).name
     specs = [
         JobSpec(job=JobHandle(name="bg", model=get_model("ResNet50"),

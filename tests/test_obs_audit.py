@@ -8,12 +8,11 @@ import json
 
 import pytest
 
-from repro.core import make_context
+from repro.core import RunOptions, make_context
 from repro.core.switchflow import SwitchFlowPolicy
 from repro.hw import v100_server
 from repro.obs.audit import (
     DECISION_EVENT,
-    FLIGHT_DIR_ENV,
     decisions,
     dump_flight_record,
     emit_decision,
@@ -167,8 +166,8 @@ class TestFlightRecorder:
         assert flight_record(ctx, "again")["pending_decisions"] == []
 
     def test_snapshot_includes_gate_and_timeseries_state(self):
-        ctx = make_context(v100_server, 2, seed=7,
-                           timeseries_interval_ms=5.0)
+        ctx = make_context(v100_server, 2, seed=7)
+        ctx.attach_timeseries(interval_ms=5.0)
         policy = SwitchFlowPolicy(ctx)
         ctx.engine.run(until=12.0)
         snapshot = flight_record(ctx, "sanitization-error", policy=policy)
@@ -178,14 +177,14 @@ class TestFlightRecorder:
             assert state == {"holder": None, "waiting": []}
         assert len(snapshot["timeseries_windows"]) == 2
 
-    def test_dump_requires_opt_in(self, monkeypatch):
-        monkeypatch.delenv(FLIGHT_DIR_ENV, raising=False)
+    def test_dump_requires_opt_in(self):
         ctx = make_context(v100_server, 1, seed=7)
+        assert ctx.options.flight_dir is None
         assert dump_flight_record(ctx, "deadlock-abort") is None
 
-    def test_dump_writes_json_into_flight_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path / "flights"))
-        ctx = make_context(v100_server, 1, seed=7)
+    def test_dump_writes_json_into_flight_dir(self, tmp_path):
+        options = RunOptions(flight_dir=str(tmp_path / "flights"))
+        ctx = make_context(v100_server, 1, seed=7, options=options)
         emit_decision(ctx.runlog, "preempt", job="hi", victim="lo")
         path = dump_flight_record(ctx, "sanitization-error")
         assert path is not None and path.exists()
@@ -193,12 +192,14 @@ class TestFlightRecorder:
         assert payload["reason"] == "sanitization-error"
         assert payload["pending_decisions"]
 
-    def test_explicit_path_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(FLIGHT_DIR_ENV, raising=False)
-        ctx = make_context(v100_server, 1, seed=7)
+    def test_explicit_path_wins_over_env(self, tmp_path):
+        # An explicit path beats the --flight-dir run option.
+        options = RunOptions(flight_dir=str(tmp_path / "flights"))
+        ctx = make_context(v100_server, 1, seed=7, options=options)
         target = tmp_path / "dump.json"
         assert dump_flight_record(ctx, "x", path=target) == target
         assert json.loads(target.read_text())["reason"] == "x"
+        assert not (tmp_path / "flights").exists()
 
 
 class TestCli:

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core import make_context
+from repro.core import RunOptions, make_context
+from repro.core.options import OptionsError, parse_timeseries
 from repro.hw import v100_server
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import (
-    TIMESERIES_ENV,
-    TimeSeriesSampler,
-    maybe_attach_timeseries_from_env,
-)
+from repro.obs.timeseries import TimeSeriesSampler
 from repro.sim import Engine
 
 
@@ -185,7 +182,8 @@ class TestQueries:
 
 class TestAttach:
     def test_context_attach_arms_a_sampler(self):
-        ctx = make_context(v100_server, 1, seed=7, timeseries_interval_ms=5.0)
+        ctx = make_context(v100_server, 1, seed=7)
+        ctx.attach_timeseries(interval_ms=5.0)
         assert ctx.timeseries is not None
         ctx.metrics.counter("requests", "test").inc(1)
         ctx.engine.run(until=12.0)
@@ -197,29 +195,30 @@ class TestAttach:
         with pytest.raises(RuntimeError):
             ctx.attach_timeseries(interval_ms=5.0)
 
-    def test_env_attach(self, monkeypatch):
-        monkeypatch.setenv(TIMESERIES_ENV, "25:64")
-        ctx = make_context(v100_server, 1, seed=7)
-        sampler = maybe_attach_timeseries_from_env(ctx)
-        assert sampler is ctx.timeseries
+    # The run-option attach path (--timeseries MS[:capacity]).
+    def test_env_attach(self):
+        options = RunOptions(timeseries=parse_timeseries("25:64"))
+        ctx = make_context(v100_server, 1, seed=7, options=options)
+        ctx.attach_options(policy=None)
+        sampler = ctx.timeseries
         assert sampler.interval_ms == 25.0
         assert sampler.capacity == 64
 
-    def test_env_attach_noop_without_variable(self, monkeypatch):
-        monkeypatch.delenv(TIMESERIES_ENV, raising=False)
-        ctx = make_context(v100_server, 1, seed=7)
-        assert maybe_attach_timeseries_from_env(ctx) is None
+    def test_env_attach_noop_without_variable(self):
+        ctx = make_context(v100_server, 1, seed=7, options=RunOptions())
+        ctx.attach_options(policy=None)
         assert ctx.timeseries is None
 
-    def test_env_attach_defers_to_explicit_sampler(self, monkeypatch):
-        monkeypatch.setenv(TIMESERIES_ENV, "25")
-        ctx = make_context(v100_server, 1, seed=7)
+    def test_env_attach_defers_to_explicit_sampler(self):
+        options = RunOptions(timeseries=parse_timeseries("25"))
+        assert options.timeseries == (25.0, 512)
+        ctx = make_context(v100_server, 1, seed=7, options=options)
         explicit = ctx.attach_timeseries(interval_ms=5.0)
-        assert maybe_attach_timeseries_from_env(ctx) is explicit
+        ctx.attach_options(policy=None)
+        assert ctx.timeseries is explicit
         assert ctx.timeseries.interval_ms == 5.0
 
-    def test_env_attach_rejects_malformed_spec(self, monkeypatch):
-        monkeypatch.setenv(TIMESERIES_ENV, "fast")
-        ctx = make_context(v100_server, 1, seed=7)
-        with pytest.raises(ValueError):
-            maybe_attach_timeseries_from_env(ctx)
+    def test_env_attach_rejects_malformed_spec(self):
+        for spec in ("fast", "0", "x", "5:0", "-1", "5:x"):
+            with pytest.raises(OptionsError, match="--timeseries"):
+                parse_timeseries(spec)

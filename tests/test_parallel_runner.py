@@ -10,9 +10,11 @@ fast experiment subset.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
+from repro.core import RunOptions, active_options, using_options
 from repro.experiments import runner
 from repro.experiments.common import (
     WorkerCrashError,
@@ -21,6 +23,9 @@ from repro.experiments.common import (
     resolve_jobs,
 )
 from repro.obs.procpool import ProcPoolStats
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def _square(value):
@@ -79,14 +84,37 @@ def test_dead_worker_surfaces_as_worker_crash_error():
         fanout_map(_exit_for_three, list(range(6)), jobs=2)
 
 
-def test_resolve_jobs_env_fallback(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
+def test_resolve_jobs_env_fallback():
+    # No explicit count: the active options' jobs (--jobs N) decide.
     assert resolve_jobs(None) == 1
     assert resolve_jobs(4) == 4
     assert resolve_jobs(0) == 1
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert resolve_jobs(None) == 3
-    assert resolve_jobs(2) == 2
+    with using_options(RunOptions(jobs=3)):
+        assert resolve_jobs(None) == 3
+        assert resolve_jobs(2) == 2
+    assert resolve_jobs(None) == 1
+
+
+def _pid(_item):
+    return os.getpid()
+
+
+def _worker_view(_item):
+    options = active_options()
+    nested = fanout_map(_pid, [None, None], jobs=2)
+    return options.seed, options.sanitize, options.jobs, nested
+
+
+def test_workers_run_under_the_callers_options():
+    # The pool initializer installs the caller's options in each worker,
+    # with jobs forced to 1; a worker's own fan-out stays serial.
+    with using_options(RunOptions(seed=5, sanitize=True, jobs=2)):
+        views = fanout_map(_worker_view, range(4))
+    for seed, sanitize, jobs, nested in views:
+        assert (seed, sanitize, jobs) == (5, True, 1)
+        assert len(set(nested)) == 1
+    assert {nested[0] for *_rest, nested in views} != {os.getpid()}
+    assert active_options() == RunOptions()
 
 
 def _run_cli(capsys, argv):
@@ -106,6 +134,20 @@ def test_parallel_output_byte_identical(capsys, experiments):
     assert status_seq == status_par == 0
     assert out_par == out_seq
     assert out_seq  # a real rendering, not two empty strings
+
+
+def test_fault_plan_reaches_fanout_workers(capsys):
+    # fig3 --jobs 2 runs its configs in pool workers, which run under
+    # the caller's options (the plan included); the faults must change
+    # the output.
+    faults = ["--faults", str(EXAMPLES / "faults_basic.json")]
+    status_seq, out_seq = _run_cli(capsys, ["fig3", "--quick"] + faults)
+    status_par, out_par = _run_cli(
+        capsys, ["fig3", "--quick", "--jobs", "2"] + faults)
+    status_clean, out_clean = _run_cli(capsys, ["fig3", "--quick"])
+    assert status_seq == status_par == status_clean == 0
+    assert out_par == out_seq
+    assert out_seq != out_clean
 
 
 def test_stats_go_to_stderr_not_stdout(capsys):

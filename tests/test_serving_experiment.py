@@ -1,14 +1,14 @@
-"""Serving experiment: runner wiring, env knobs, headline checks."""
+"""Serving experiment: runner wiring, run options, headline checks."""
 
 import json
-import os
 
 import pytest
 
+from repro.core import RunOptions, active_options
 from repro.experiments import serving_colocation
 from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import main as runner_main
-from repro.serving import SERVING_ENV, ServingConfig
+from repro.serving import ServingConfig
 from repro.serving.config import ServingConfigError
 
 
@@ -93,14 +93,13 @@ class TestServingSweep:
             assert row["p99_ms"] > 0
             assert 0.0 <= row["shed_pct"] <= 100.0
 
-    def test_seed_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(serving_colocation.SEED_ENV, "7")
+    def test_seed_env_respected(self, tmp_path, capsys):
+        # The runner's --seed and --json reach the sweep.
         json_path = tmp_path / "serving-seeded.json"
-        serving_colocation.run(
-            duration_ms=serving_colocation.QUICK_DURATION_MS,
-            rates=serving_colocation.QUICK_RATES,
-            json_path=str(json_path))
+        assert runner_main(["serving", "--quick", "--seed", "7",
+                            "--json", str(json_path)]) == 0
         assert json.loads(json_path.read_text())["seed"] == 7
+        assert "seed 7" in capsys.readouterr().out
 
 
 class TestRunnerServingCli:
@@ -115,10 +114,9 @@ class TestRunnerServingCli:
         captured = capsys.readouterr()
         assert "serving" in (captured.err + captured.out).lower()
 
-    def test_serving_env_restored_after_run(self, capsys, monkeypatch):
-        monkeypatch.delenv(SERVING_ENV, raising=False)
+    def test_serving_env_restored_after_run(self, capsys):
         assert runner_main(["serving", "--quick",
                             "--serving", "rate=20,queue=128"]) == 0
-        assert SERVING_ENV not in os.environ
+        assert active_options() == RunOptions()
         out = capsys.readouterr().out
         assert "Serving co-location" in out

@@ -1,13 +1,12 @@
 """Serving front-end: admission, batching, SLO accounting, harness."""
 
-import os
-
 import pytest
 
 from repro.core import (
     JobHandle,
     PRIORITY_HIGH,
     PRIORITY_LOW,
+    RunOptions,
     SwitchFlowPolicy,
     make_context,
 )
@@ -18,7 +17,6 @@ from repro.serving import (
     AdmissionQueue,
     RequestBatcher,
     Request,
-    SERVING_ENV,
     SLOTarget,
     ServedModelSpec,
     ServingConfig,
@@ -267,19 +265,15 @@ class TestRunServing:
             run_serving(ctx, MultiThreadedTF, [])
 
     def test_env_overrides_apply(self):
-        previous = os.environ.get(SERVING_ENV)
-        os.environ[SERVING_ENV] = "queue=2,shed=drop-oldest,batch=2"
-        try:
-            ctx = make_context(v100_server, 2, seed=0)
-            result = run_serving(
-                ctx, SessionTimeSlicing,
-                [serve_spec(ctx, rate=120.0)],
-                [background_spec(ctx)])
-        finally:
-            if previous is None:
-                os.environ.pop(SERVING_ENV, None)
-            else:
-                os.environ[SERVING_ENV] = previous
+        # The serving run option (--serving) applies at run start.
+        config = ServingConfig.parse("queue=2,shed=drop-oldest,batch=2")
+        ctx = make_context(v100_server, 2, seed=0,
+                           options=RunOptions(serving=config))
+        result = run_serving(
+            ctx, SessionTimeSlicing,
+            [serve_spec(ctx, rate=120.0)],
+            [background_spec(ctx)])
+        assert ctx.serving is config
         stream = result.served("serve")
         # drop-oldest evictions only happen with the override applied.
         assert stream.shed_by_reason.get("evicted", 0) > 0
@@ -287,7 +281,10 @@ class TestRunServing:
 
     def test_make_context_serving_config(self):
         config = ServingConfig(max_batch=2)
-        ctx = make_context(v100_server, 1, seed=0, serving=config)
+        ctx = make_context(v100_server, 1, seed=0,
+                           options=RunOptions(serving=config))
+        assert ctx.options.serving is config and ctx.serving is None
+        ctx.attach_options(policy=None)
         assert ctx.serving is config
         with pytest.raises(RuntimeError):
             ctx.attach_serving(ServingConfig())
