@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, List
 
 from repro.core.context import RunContext
 from repro.core.job import JobHandle
+from repro.obs.runlog import emit_decision
 from repro.runtime.session import Session
 from repro.runtime.threadpool import ThreadPool
 from repro.sim import instrument
@@ -59,8 +60,6 @@ class SchedulingPolicy:
     # ------------------------------------------------------------------
     def register_job(self, job: JobHandle) -> None:
         """Admit a job: build its session and pick its initial device."""
-        from repro.obs.audit import emit_decision
-
         pinned = job.preferred_device is not None
         if job.preferred_device is None:
             job.preferred_device = self.default_device(job)

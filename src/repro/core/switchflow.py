@@ -29,16 +29,8 @@ from repro.core.gate import DeviceGate
 from repro.core.job import JobHandle
 from repro.core.policy import ComputeGrant, SchedulingPolicy
 from repro.faults.recovery import MigrationFailedError
+from repro.obs.runlog import emit_decision
 from repro.runtime.threadpool import ThreadPool
-
-
-def emit_decision(runlog, kind, **fields):
-    """Deferred :func:`repro.obs.audit.emit_decision` (keeps the audit
-    module importable as ``python -m repro.obs.audit`` without tripping
-    runpy's already-imported warning through this module)."""
-    from repro.obs import audit
-
-    return audit.emit_decision(runlog, kind, **fields)
 
 
 class SwitchFlowPolicy(SchedulingPolicy):

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.graph.graph import Graph, GraphError
 from repro.graph.ops import OpKind
+from repro.obs.runlog import emit_decision
 
 
 def place_graph(graph: Graph, cpu_device: str,
@@ -231,11 +232,7 @@ class GangScheduler:
                 spilled: bool, reason: str,
                 rejected: List[Dict[str, str]]) -> GangPlacement:
         if self.runlog is not None:
-            # Deferred import, as in core.switchflow: keeps the audit
-            # module runpy-clean and the graph layer import-light.
-            from repro.obs import audit
-
-            audit.emit_decision(
+            emit_decision(
                 self.runlog, "gang_place", job=member.job,
                 chosen=device, rejected=rejected, node=node,
                 spilled=spilled, reason=reason,

@@ -13,9 +13,10 @@ One subsystem answers every "what did the runtime do?" question:
   wall clock (``python -m repro.obs.profile``).
 * :class:`TimeSeriesSampler` — windowed counter/gauge/quantile
   snapshots on the engine clock, off by default.
-* :func:`emit_decision` / ``python -m repro.obs.audit`` — structured
-  scheduler decision records and the "why did that happen?" query CLI,
-  plus the flight recorder dumped on sanitizer/deadlock aborts.
+* :func:`emit_decision` — structured scheduler decision records in the
+  run log; ``python -m repro.obs.audit`` is their "why did that
+  happen?" query CLI, plus the flight recorder dumped on
+  sanitizer/deadlock aborts.
 * ``python -m repro.obs.report`` — run a registered workload and print
   a metrics summary, per-GPU breakdown and ASCII timeline.
 """
@@ -36,7 +37,6 @@ _LAZY = {
     "render_profile": "repro.obs.profile",
     "decisions": "repro.obs.audit",
     "dump_flight_record": "repro.obs.audit",
-    "emit_decision": "repro.obs.audit",
     "flight_record": "repro.obs.audit",
 }
 
@@ -57,7 +57,7 @@ from repro.obs.metrics import (
     merge_quantiles,
 )
 from repro.obs.procpool import ProcPoolStats
-from repro.obs.runlog import RunLog
+from repro.obs.runlog import RunLog, emit_decision
 
 __all__ = [
     "ProcPoolStats",

@@ -2,10 +2,11 @@
 
 Every consequential scheduling decision — admit, preempt, migrate,
 readmit, spurious preempt, suppressed preempt — is emitted into the run
-log as one ``sched_decision`` record carrying the inputs the policy
-considered, the alternatives it rejected (with reasons), and a
-monotonically increasing ``decision`` id that outcome records
-(``preempt``, ``abort_complete``) reference back. The record set is the
+log (by :func:`repro.obs.runlog.emit_decision`) as one
+``sched_decision`` record carrying the inputs the policy considered,
+the alternatives it rejected (with reasons), and a monotonically
+increasing ``decision`` id that outcome records (``preempt``,
+``abort_complete``) reference back. The record set is the
 machine-readable substrate ROADMAP item 5 (policy search) trains
 against, and the query CLI answers the operator question directly::
 
@@ -29,52 +30,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.runlog import RunLog
-
-DECISION_EVENT = "sched_decision"
-
-#: Decision kinds (the vocabulary the CLI and tests key on).
-KINDS = ("admit", "preempt", "migrate", "readmit", "spurious_preempt",
-         "preempt_suppressed", "gang_place", "request_admit",
-         "request_shed", "batch_close")
-
-
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
-def emit_decision(runlog: RunLog, kind: str, *, job: str,
-                  device: Optional[str] = None,
-                  chosen: Optional[str] = None,
-                  considered: Optional[Sequence[Dict[str, Any]]] = None,
-                  rejected: Optional[Sequence[Dict[str, Any]]] = None,
-                  **inputs: Any) -> Optional[int]:
-    """Emit one decision record; returns its ``decision`` id.
-
-    ``considered``/``rejected`` are lists of plain dicts (candidate +
-    why it lost); they are JSON-encoded into string fields so the
-    record stays a flat JSONL line. Returns None when the runlog is
-    disabled (decision ids then don't advance, keeping replays of the
-    same run identical whether or not logging is on).
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown decision kind {kind!r}")
-    if not runlog.enabled:
-        return None
-    decision_id = getattr(runlog, "_decision_seq", 0) + 1
-    runlog._decision_seq = decision_id
-    fields: Dict[str, Any] = {"decision": decision_id, "kind": kind,
-                              "job": job}
-    if device is not None:
-        fields["device"] = device
-    if chosen is not None:
-        fields["chosen"] = chosen
-    if considered is not None:
-        fields["considered"] = json.dumps(list(considered))
-    if rejected is not None:
-        fields["rejected"] = json.dumps(list(rejected))
-    fields.update(inputs)
-    runlog.emit(DECISION_EVENT, **fields)
-    return decision_id
+from repro.obs.runlog import DECISION_EVENT, KINDS
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ says *what happened, in order*.
 Records are plain dicts ``{"t_ms": <sim ms>, "event": <str>, ...}`` so
 they stream straight to JSON Lines for offline analysis (``jq``,
 pandas) via :meth:`RunLog.to_jsonl` / :meth:`RunLog.write`.
+
+Scheduler decisions are one record kind among these: :func:`emit_decision`
+writes a ``sched_decision`` record with a per-log ``decision`` id that
+outcome records reference back; :mod:`repro.obs.audit` queries them.
 """
 
 from __future__ import annotations
@@ -16,9 +20,25 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 PathLike = Union[str, Path]
+
+DECISION_EVENT = "sched_decision"
+
+#: Decision kinds (the vocabulary the audit CLI and tests key on).
+KINDS = ("admit", "preempt", "migrate", "readmit", "spurious_preempt",
+         "preempt_suppressed", "gang_place", "request_admit",
+         "request_shed", "batch_close")
 
 
 class RunLog:
@@ -100,3 +120,38 @@ class RunLog:
 
     def __repr__(self) -> str:
         return f"<RunLog {len(self.records)} records>"
+
+
+def emit_decision(runlog: RunLog, kind: str, *, job: str,
+                  device: Optional[str] = None,
+                  chosen: Optional[str] = None,
+                  considered: Optional[Sequence[Dict[str, Any]]] = None,
+                  rejected: Optional[Sequence[Dict[str, Any]]] = None,
+                  **inputs: Any) -> Optional[int]:
+    """Emit one decision record; returns its ``decision`` id.
+
+    ``considered``/``rejected`` are lists of plain dicts (candidate +
+    why it lost); they are JSON-encoded into string fields so the
+    record stays a flat JSONL line. Returns None when the runlog is
+    disabled (decision ids then don't advance, keeping replays of the
+    same run identical whether or not logging is on).
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown decision kind {kind!r}")
+    if not runlog.enabled:
+        return None
+    decision_id = getattr(runlog, "_decision_seq", 0) + 1
+    runlog._decision_seq = decision_id
+    fields: Dict[str, Any] = {"decision": decision_id, "kind": kind,
+                              "job": job}
+    if device is not None:
+        fields["device"] = device
+    if chosen is not None:
+        fields["chosen"] = chosen
+    if considered is not None:
+        fields["considered"] = json.dumps(list(considered))
+    if rejected is not None:
+        fields["rejected"] = json.dumps(list(rejected))
+    fields.update(inputs)
+    runlog.emit(DECISION_EVENT, **fields)
+    return decision_id

@@ -16,10 +16,12 @@ requests rode along — the static-shape regime of real serving engines,
 and what makes the batch-or-wait tradeoff real. Goodput counts actual
 requests, not padding.
 
-:func:`run_serving` is the harness twin of
-:func:`~repro.workloads.colocation.run_colocation`: same run-option
-attachments, watchdog, horizon deadline with flight-record dump, and
-sanitizer/concurrency finalization.
+A served model is a job like any other: :class:`ServingFrontEnd` is a
+:class:`~repro.workloads.drivers.JobProcess`, so registration, the
+crash/finish records and the compute path are the training driver's,
+and each batch is one unpipelined driver iteration. The front-end adds
+only the serving parts: arrivals, admission, batching and request
+completion.
 """
 
 from __future__ import annotations
@@ -27,15 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.concurrency import finalize_concurrency
-from repro.analysis.integration import enforce
 from repro.core.context import RunContext
 from repro.core.job import JobHandle
 from repro.core.policy import SchedulingPolicy
-from repro.faults.recovery import InjectedJobCrash
-from repro.hw.memory import OutOfMemoryError
 from repro.metrics.latency import LatencySummary
 from repro.metrics.throughput import JobStats
+from repro.obs.runlog import emit_decision
 from repro.serving.admission import AdmissionQueue, Request
 from repro.serving.arrivals import ArrivalTrace, make_trace
 from repro.serving.batcher import Batch, RequestBatcher
@@ -43,18 +42,9 @@ from repro.serving.slo import SLOTarget
 from repro.workloads.colocation import (
     DEFAULT_HORIZON_MS,
     JobSpec,
-    dump_flight_record,
+    _run_harness,
 )
-from repro.workloads.drivers import JobDriver
-
-
-def emit_decision(runlog, kind, **fields):
-    """Deferred :func:`repro.obs.audit.emit_decision` (keeps the audit
-    module importable as ``python -m repro.obs.audit`` without tripping
-    runpy's already-imported warning through this module)."""
-    from repro.obs import audit
-
-    return audit.emit_decision(runlog, kind, **fields)
+from repro.workloads.drivers import JobProcess
 
 
 @dataclass
@@ -158,15 +148,21 @@ class ServingStats:
         return 1000.0 * self.slo_met / self.horizon_ms
 
 
-class ServingFrontEnd:
-    """Runs one served model's request stream under a policy."""
+class ServingFrontEnd(JobProcess):
+    """Runs one served model's request stream under a policy.
+
+    Awaiting :meth:`start`'s process awaits the whole front-end: its
+    body only ends after the arrival stream ends *and* the queue
+    drains. A crash aborts the stream; served jobs never restart.
+    """
+
+    process_prefix = "serving"
+    started_kind = "serving"
 
     def __init__(self, policy: SchedulingPolicy,
                  spec: ServedModelSpec) -> None:
-        self.policy = policy
-        self.ctx: RunContext = policy.ctx
+        super().__init__(policy, spec.job, spec.start_delay_ms)
         self.spec = spec
-        self.job = spec.job
         self.queue = AdmissionQueue(self.ctx.engine,
                                     capacity=spec.queue_capacity,
                                     shed_policy=spec.shed_policy)
@@ -176,58 +172,17 @@ class ServingFrontEnd:
         self.stats = ServingStats(job=self.job.name,
                                   horizon_ms=spec.trace.horizon_ms,
                                   slo=spec.slo)
-        self.process = None
-        self._metrics = self.ctx.metrics
-        self._runlog = self.ctx.runlog
         self._arrival_process = None
         self._aborted = False
 
-    # ------------------------------------------------------------------
-    def start(self):
-        """Spawn the front-end; returns the dispatch process.
-
-        The dispatch process only completes after the arrival stream
-        ends *and* the queue drains, so awaiting it awaits the whole
-        front-end.
-        """
-        self.process = self.ctx.engine.process(
-            self._main(), name=f"serving/{self.job.name}")
-        return self.process
-
-    def _main(self):
-        if self.spec.start_delay_ms > 0:
-            yield self.ctx.engine.timeout(self.spec.start_delay_ms)
-        try:
-            self.policy.register_job(self.job)
-        except OutOfMemoryError as exc:
-            self._runlog.emit("job_crashed", job=self.job.name,
-                              reason=str(exc), phase="register")
-            self.policy.on_job_crashed(self.job, str(exc))
-            self.stats.crashed = True
-            return
-        self.job.stats.started_at = self.ctx.engine.now
-        self._runlog.emit("job_started", job=self.job.name,
-                          model=self.job.model.name,
-                          device=self.job.assigned_device,
-                          priority=self.job.priority,
-                          kind="serving")
+    def _body(self):
         self._arrival_process = self.ctx.engine.process(
             self._arrivals(), name=f"arrivals/{self.job.name}")
-        try:
-            yield from self._dispatch_loop()
-        except (OutOfMemoryError, InjectedJobCrash) as exc:
-            self._runlog.emit("job_crashed", job=self.job.name,
-                              reason=str(exc), phase="run")
-            self.policy.on_job_crashed(self.job, str(exc))
-            self.stats.crashed = True
-            self._abort_outstanding(str(exc))
-        finally:
-            self.job.stats.finished_at = self.ctx.engine.now
-            self._runlog.emit(
-                "job_finished", job=self.job.name,
-                iterations=len(self.job.stats.iteration_times_ms),
-                crashed=self.job.stats.crashed)
-            self.policy.unregister_job(self.job)
+        yield from self._dispatch_loop()
+
+    def _on_crash(self) -> None:
+        self.stats.crashed = True
+        self._abort_outstanding()
 
     # ------------------------------------------------------------------
     # Arrival side
@@ -315,86 +270,10 @@ class ServingFrontEnd:
                 "serving.batch_size", "requests per dispatched batch",
                 job=job.name).observe(float(len(batch)))
             dispatch_start = engine.now
-            yield from self._dispatch_batch(iteration)
+            yield from self._run_iteration(iteration)
             self._complete(batch)
-            job.stats.record_iteration(engine.now - dispatch_start)
-            job.stats.iteration_spans.append((dispatch_start,
-                                              engine.now))
+            self._record_span(dispatch_start)
             iteration += 1
-
-    def _maybe_crash(self) -> None:
-        """Honor an injected crash at the batch boundary (a safe point:
-        no gate held, no run in flight)."""
-        injector = self.ctx.faults
-        if injector is None:
-            return
-        reason = injector.crash_requested(self.job.name)
-        if reason is not None:
-            raise InjectedJobCrash(self.job.name, reason)
-
-    def _acquire_compute(self):
-        started = self.ctx.engine.now
-        grant = yield from self.policy.acquire_compute(self.job)
-        self._metrics.histogram(
-            "sched.acquire_wait_ms",
-            "time blocked acquiring the compute stage",
-            job=self.job.name).observe(self.ctx.engine.now - started)
-        return grant
-
-    def _dispatch_batch(self, iteration: int):
-        """One batch = one session iteration (CPU stage + GPU stage).
-
-        Honors the policy's session semantics: fused policies (time
-        slicing) hold the pipeline slice across both stages; pipelined
-        policies gate only the CPU stage and then run the
-        preemption-surviving compute loop.
-        """
-        job, policy = self.job, self.policy
-        session = job.session
-        data_pool = self.ctx.data_pool_for(job.name)
-        if policy.fused_sessions:
-            yield from policy.acquire_pipeline(job)
-            try:
-                yield from session.run_cpu_stage(data_pool, iteration)
-                grant = yield from self._acquire_compute()
-                try:
-                    run = session.start_gpu_stage(
-                        grant.pool, grant.device_name, iteration,
-                        preallocated=grant.preallocated)
-                except OutOfMemoryError:
-                    policy.release_compute(job, grant, "oom")
-                    raise
-                outcome = yield run.done
-                session.finish_gpu_stage(run, iteration)
-                policy.release_compute(job, grant, outcome)
-            finally:
-                policy.release_pipeline(job)
-            return
-        yield from policy.acquire_pipeline(job)
-        try:
-            yield from session.run_cpu_stage(data_pool, iteration)
-        finally:
-            policy.release_pipeline(job)
-        completed = set()
-        while True:
-            grant = yield from self._acquire_compute()
-            if job.assigned_device != grant.device_name:
-                policy.release_compute(job, grant, "stale")
-                continue
-            try:
-                run = session.start_gpu_stage(
-                    grant.pool, grant.device_name, iteration,
-                    completed=completed,
-                    preallocated=grant.preallocated)
-            except OutOfMemoryError:
-                policy.release_compute(job, grant, "oom")
-                raise
-            outcome = yield run.done
-            completed |= run.completed
-            session.finish_gpu_stage(run, iteration)
-            policy.release_compute(job, grant, outcome)
-            if outcome == "completed":
-                return
 
     def _complete(self, batch: Batch) -> None:
         engine = self.ctx.engine
@@ -425,13 +304,12 @@ class ServingFrontEnd:
                 batch=batch.batch_id,
                 latency_ms=round(request.latency_ms, 3))
 
-    def _abort_outstanding(self, reason: str) -> None:
+    def _abort_outstanding(self) -> None:
         """Terminal-ize every live request after a crash, so the
         request-span invariant (arrive => complete xor shed) holds even
         on the failure path. Arrivals still pending in the trace stop
         at their next wakeup (they never "arrive", so they owe no
         terminal event)."""
-        del reason
         self._aborted = True
         outstanding = self.queue.drain()
         self.queue.close()
@@ -479,62 +357,25 @@ def run_serving(ctx: RunContext,
 
     Background jobs iterate until every front-end drains, mirroring
     :func:`~repro.workloads.colocation.run_colocation`'s foreground/
-    background protocol. The context's run options attach at run start
-    as they do there, and their serving overrides (``--serving``) apply
-    to every spec.
+    background protocol, and the run goes through the same harness.
+    The context's serving overrides (``--serving``) apply to every
+    spec.
     """
     if not served:
         raise ValueError("no served models")
     background = list(background or [])
-    policy = policy_factory(ctx)
-    ctx.attach_options(policy)
-    specs = [spec.resolved(ctx.serving, ctx.rng) for spec in served]
+    frontends: List[ServingFrontEnd] = []
 
-    frontends = [ServingFrontEnd(policy, spec) for spec in specs]
-    stop_signal = ctx.engine.event()
-    drivers = [
-        JobDriver(policy, spec.job, iterations=spec.iterations,
-                  start_delay_ms=spec.start_delay_ms,
-                  request_interval_ms=spec.request_interval_ms,
-                  stop_event=stop_signal if spec.background else None)
-        for spec in background]
-    front_processes = [frontend.start() for frontend in frontends]
-    driver_processes = [driver.start() for driver in drivers]
+    def make_jobs(policy, drive):
+        specs = [spec.resolved(ctx.serving, ctx.rng) for spec in served]
+        frontends.extend(ServingFrontEnd(policy, spec) for spec in specs)
+        return frontends + [drive(spec) for spec in background], frontends
 
-    def _watchdog():
-        yield ctx.engine.all_of(front_processes)
-        if not stop_signal.triggered:
-            stop_signal.succeed()
-
-    ctx.engine.process(_watchdog(), name="serving-watchdog")
-    done = ctx.engine.all_of(front_processes + driver_processes)
-    deadline = ctx.engine.timeout(horizon_ms)
-    ctx.engine.run(until=ctx.engine.any_of([done, deadline]))
-    if not done.triggered:
-        dump_flight_record(ctx, "serving-deadlock-abort", policy=policy)
-        finalize_concurrency(ctx, label="serving-deadlock-abort")
-        raise RuntimeError(
-            f"serving scenario exceeded {horizon_ms} simulated ms")
-
+    _run_harness(ctx, policy_factory, make_jobs, horizon_ms,
+                 scenario="serving", abort_reason="serving-deadlock-abort")
     result = ServingResult(ctx=ctx)
-    jobs = []
     for frontend in frontends:
         result.serving[frontend.job.name] = frontend.stats
-        jobs.append(frontend.job)
     for spec in background:
         result.stats[spec.job.name] = spec.job.stats
-        jobs.append(spec.job)
-    for job in jobs:
-        if job not in ctx.jobs:
-            ctx.jobs.append(job)
-
-    label = ",".join(job.name for job in jobs)
-    try:
-        enforce(ctx, policy=policy,
-                sessions=[job.session for job in jobs], label=label)
-    except Exception:
-        dump_flight_record(ctx, "sanitization-error", policy=policy)
-        raise
-    finally:
-        finalize_concurrency(ctx, label=label)
     return result

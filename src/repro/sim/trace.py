@@ -37,6 +37,30 @@ class Span:
         return self.start < other.end and other.start < self.end
 
 
+def clip_sorted(spans: Iterable[Span], start: float,
+                end: float) -> List[Tuple[float, float]]:
+    """``spans`` overlapping ``[start, end]``, clipped to it, sorted."""
+    return sorted((max(span.start, start), min(span.end, end))
+                  for span in spans
+                  if span.end > start and span.start < end)
+
+
+def union_length(intervals: Iterable[Tuple[float, float]],
+                 start: float) -> float:
+    """Length of the union of sorted ``(lo, hi)`` intervals past ``start``.
+
+    Overlapping intervals are counted once.
+    """
+    busy = 0.0
+    cursor = start
+    for lo, hi in intervals:
+        if hi <= cursor:
+            continue
+        busy += hi - max(lo, cursor)
+        cursor = max(cursor, hi)
+    return busy
+
+
 class OpenSpan:
     """Handle for an in-progress span; call :meth:`close` when done."""
 
@@ -149,21 +173,7 @@ class Tracer:
 
         Overlapping spans are unioned, not double-counted.
         """
-        if end is None:
-            end = self.engine.now
-        intervals = sorted(
-            (max(span.start, start), min(span.end, end))
-            for span in self.spans
-            if span.lane == lane and span.end > start and span.start < end
-        )
-        busy = 0.0
-        cursor = start
-        for lo, hi in intervals:
-            if hi <= cursor:
-                continue
-            busy += hi - max(lo, cursor)
-            cursor = max(cursor, hi)
-        return busy
+        return self.busy_union([lane], start, end)
 
     def busy_union(self, lanes: Iterable[str], start: float = 0.0,
                    end: Optional[float] = None) -> float:
@@ -176,19 +186,9 @@ class Tracer:
         if end is None:
             end = self.engine.now
         wanted = set(lanes)
-        intervals = sorted(
-            (max(span.start, start), min(span.end, end))
-            for span in self.spans
-            if span.lane in wanted and span.end > start and span.start < end
-        )
-        busy = 0.0
-        cursor = start
-        for lo, hi in intervals:
-            if hi <= cursor:
-                continue
-            busy += hi - max(lo, cursor)
-            cursor = max(cursor, hi)
-        return busy
+        return union_length(
+            clip_sorted((span for span in self.spans
+                         if span.lane in wanted), start, end), start)
 
     def open_span_rows(self) -> List[Dict[str, Any]]:
         """Plain-dict snapshot of in-progress spans (flight recorder)."""

@@ -9,7 +9,7 @@ under the policy being evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.concurrency import finalize_concurrency
 from repro.analysis.integration import enforce
@@ -18,15 +18,7 @@ from repro.core.job import JobHandle
 from repro.core.policy import SchedulingPolicy
 from repro.metrics.latency import LatencySummary
 from repro.metrics.throughput import JobStats
-from repro.workloads.drivers import JobDriver
-
-
-def dump_flight_record(ctx, reason, policy=None):
-    """Deferred :func:`repro.obs.audit.dump_flight_record` (cold abort
-    path; keeps ``python -m repro.obs.audit`` runpy-clean)."""
-    from repro.obs import audit
-
-    return audit.dump_flight_record(ctx, reason, policy=policy)
+from repro.workloads.drivers import JobDriver, JobProcess
 
 # Generous ceiling so a wedged experiment fails loudly instead of
 # spinning forever (simulated hours, not wall time).
@@ -81,29 +73,62 @@ def run_colocation(ctx: RunContext,
     """
     if not specs:
         raise ValueError("no jobs to run")
+
+    def make_jobs(policy, drive):
+        drivers = [drive(spec) for spec in specs]
+        foreground = [driver for driver, spec in zip(drivers, specs,
+                                                     strict=True)
+                      if not spec.background]
+        return drivers, foreground or drivers
+
+    _run_harness(ctx, policy_factory, make_jobs, horizon_ms,
+                 scenario="colocation", abort_reason="deadlock-abort")
+    result = CollocationResult(ctx=ctx)
+    for spec in specs:
+        result.stats[spec.job.name] = spec.job.stats
+    return result
+
+
+def _run_harness(ctx: RunContext,
+                 policy_factory: Callable[[RunContext], SchedulingPolicy],
+                 make_jobs: Callable[..., Tuple[List[JobProcess],
+                                                List[JobProcess]]],
+                 horizon_ms: float, scenario: str,
+                 abort_reason: str) -> None:
+    """Run one scenario's jobs to completion, then check the run.
+
+    Builds the policy and attaches the context's run options to it.
+    ``make_jobs(policy, drive)`` returns the job processes in start
+    order plus the subset the watchdog waits for; ``drive(spec)``
+    builds a :class:`JobDriver` whose background specs stop once that
+    subset is done. Every job joins ``ctx.jobs``. Past ``horizon_ms``
+    the run aborts with a flight record named ``abort_reason``.
+    """
+    # Deferred: importing the audit module while ``repro.obs`` loads
+    # trips runpy's re-import warning under ``python -m repro.obs.audit``.
+    from repro.obs.audit import dump_flight_record
+
     policy = policy_factory(ctx)
     ctx.attach_options(policy)
     stop_signal = ctx.engine.event()
-    drivers: List[JobDriver] = [
-        JobDriver(
+
+    def drive(spec: JobSpec) -> JobDriver:
+        return JobDriver(
             policy, spec.job, iterations=spec.iterations,
             start_delay_ms=spec.start_delay_ms,
             request_interval_ms=spec.request_interval_ms,
             stop_event=stop_signal if spec.background else None)
-        for spec in specs]
-    processes = [driver.start() for driver in drivers]
 
-    foreground = [process for process, spec in zip(processes, specs,
-                                                   strict=True)
-                  if not spec.background]
-    watched = foreground if foreground else processes
+    runners, watched = make_jobs(policy, drive)
+    processes = [runner.start() for runner in runners]
+    watched_processes = [runner.process for runner in watched]
 
     def _watchdog():
-        yield ctx.engine.all_of(watched)
+        yield ctx.engine.all_of(watched_processes)
         if not stop_signal.triggered:
             stop_signal.succeed()
 
-    ctx.engine.process(_watchdog(), name="colocation-watchdog")
+    ctx.engine.process(_watchdog(), name=f"{scenario}-watchdog")
     done = ctx.engine.all_of(processes)
     deadline = ctx.engine.timeout(horizon_ms)
     ctx.engine.run(until=ctx.engine.any_of([done, deadline]))
@@ -111,24 +136,21 @@ def run_colocation(ctx: RunContext,
         # Deadlock abort: capture the flight record (open spans,
         # pending decisions, gate state, concurrency waits) before
         # anything unwinds.
-        dump_flight_record(ctx, "deadlock-abort", policy=policy)
-        finalize_concurrency(ctx, label="deadlock-abort")
+        dump_flight_record(ctx, abort_reason, policy=policy)
+        finalize_concurrency(ctx, label=abort_reason)
         raise RuntimeError(
-            f"colocation scenario exceeded {horizon_ms} simulated ms")
+            f"{scenario} scenario exceeded {horizon_ms} simulated ms")
 
-    result = CollocationResult(ctx=ctx)
-    for spec in specs:
-        result.stats[spec.job.name] = spec.job.stats
-        if spec.job not in ctx.jobs:
-            ctx.jobs.append(spec.job)
-
+    jobs = [runner.job for runner in runners]
+    for job in jobs:
+        if job not in ctx.jobs:
+            ctx.jobs.append(job)
     # Under --sanitize, verify the paper's trace invariants and the
     # session graphs; ERROR findings raise.
-    label = ",".join(spec.job.name for spec in specs)
+    label = ",".join(job.name for job in jobs)
     try:
         enforce(ctx, policy=policy,
-                sessions=[spec.job.session for spec in specs],
-                label=label)
+                sessions=[job.session for job in jobs], label=label)
     except Exception:
         dump_flight_record(ctx, "sanitization-error", policy=policy)
         raise
@@ -136,4 +158,3 @@ def run_colocation(ctx: RunContext,
         # Uninstall the tracker's hooks and (outside --sanitize, which
         # folds the findings into enforce's report) publish its report.
         finalize_concurrency(ctx, label=label)
-    return result

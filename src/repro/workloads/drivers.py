@@ -1,7 +1,17 @@
-"""Job drivers: the processes that push work through the policies.
+"""Job processes: one job's lifecycle and its compute iterations.
 
-A driver owns one job end-to-end: registration, the per-iteration loop,
-crash handling, and stats. Two loop shapes exist:
+:class:`JobProcess` is the part every job shares, trained or served: it
+registers the job with the policy (an OOM there crashes the job), emits
+``job_started``, runs the subclass's body, turns an OOM or injected
+crash into ``job_crashed``, and always emits ``job_finished`` and
+unregisters. It also owns the compute primitives: acquiring the device
+through the policy, one gated GPU run, the preemption-surviving compute
+loop, and :meth:`JobProcess._run_iteration` — one *unpipelined*
+iteration (CPU stage, then GPU stage) that a serving batch runs as is.
+
+:class:`JobDriver` runs one job for a fixed number of iterations,
+restarting from its checkpoint under fault injection. Two loop shapes
+exist:
 
 * **pipelined** — tf.data semantics: a producer process runs the CPU
   input pipeline into a small prefetch buffer while the consumer runs
@@ -25,44 +35,33 @@ from repro.sim.resources import Store
 PREFETCH_DEPTH = 2
 
 
-class JobDriver:
-    """Runs one job under a policy for a fixed number of iterations."""
+class JobProcess:
+    """One job's process under a policy: lifecycle plus compute steps.
+
+    Subclasses supply :meth:`_body` (the work between ``job_started``
+    and ``job_finished``) and may hook :meth:`_on_crash`.
+    """
+
+    #: Process-name prefix (``<prefix>/<job>``).
+    process_prefix = "driver"
+    #: ``kind`` of the ``job_started`` record; None = the job's own.
+    started_kind: Optional[str] = None
 
     def __init__(self, policy: SchedulingPolicy, job: JobHandle,
-                 iterations: int, start_delay_ms: float = 0.0,
-                 request_interval_ms: Optional[float] = None,
-                 stop_event: Optional[Event] = None) -> None:
-        if iterations <= 0:
-            raise ValueError("iterations must be positive")
+                 start_delay_ms: float = 0.0) -> None:
         self.policy = policy
         self.ctx = policy.ctx
         self.job = job
-        self.iterations = iterations
         self.start_delay_ms = start_delay_ms
-        # Open-loop inference: request i arrives at start + i*interval;
-        # latency then includes queueing. None = closed loop.
-        self.request_interval_ms = request_interval_ms
-        # Optional external stop signal (e.g. "background job runs until
-        # the foreground stream completes").
-        self.stop_event = stop_event
         self.process = None
         self._metrics = self.ctx.metrics
         self._runlog = self.ctx.runlog
-        # Restart-from-checkpoint state (active only under fault
-        # injection): the first iteration a restart resumes from, and
-        # how many restarts this job has already consumed.
-        self._checkpoint = 0
-        self._restarts = 0
 
-    # ------------------------------------------------------------------
     def start(self):
-        """Spawn the driver process; returns it (an awaitable event)."""
+        """Spawn the job's process; returns it (an awaitable event)."""
         self.process = self.ctx.engine.process(
-            self._main(), name=f"driver/{self.job.name}")
+            self._main(), name=f"{self.process_prefix}/{self.job.name}")
         return self.process
-
-    def _stopped(self) -> bool:
-        return self.stop_event is not None and self.stop_event.triggered
 
     def _main(self):
         if self.start_delay_ms > 0:
@@ -70,26 +69,18 @@ class JobDriver:
         try:
             self.policy.register_job(self.job)
         except OutOfMemoryError as exc:
-            self._runlog.emit("job_crashed", job=self.job.name,
-                              reason=str(exc), phase="register")
-            self.policy.on_job_crashed(self.job, str(exc))
+            self._crash(exc, "register")
             return
         self.job.stats.started_at = self.ctx.engine.now
         self._runlog.emit("job_started", job=self.job.name,
                           model=self.job.model.name,
                           device=self.job.assigned_device,
                           priority=self.job.priority,
-                          kind=self.job.kind)
+                          kind=self.started_kind or self.job.kind)
         try:
-            yield from self._run_with_restarts()
-        except OutOfMemoryError as exc:
-            self._runlog.emit("job_crashed", job=self.job.name,
-                              reason=str(exc), phase="run")
-            self.policy.on_job_crashed(self.job, str(exc))
-        except InjectedJobCrash as exc:
-            self._runlog.emit("job_crashed", job=self.job.name,
-                              reason=str(exc), phase="run")
-            self.policy.on_job_crashed(self.job, str(exc))
+            yield from self._body()
+        except (OutOfMemoryError, InjectedJobCrash) as exc:
+            self._crash(exc, "run")
         finally:
             self.job.stats.finished_at = self.ctx.engine.now
             self._runlog.emit(
@@ -98,7 +89,137 @@ class JobDriver:
                 crashed=self.job.stats.crashed)
             self.policy.unregister_job(self.job)
 
-    def _run_with_restarts(self):
+    def _body(self):
+        raise NotImplementedError
+
+    def _crash(self, exc: Exception, phase: str) -> None:
+        self._runlog.emit("job_crashed", job=self.job.name,
+                          reason=str(exc), phase=phase)
+        self.policy.on_job_crashed(self.job, str(exc))
+        self._on_crash()
+
+    def _on_crash(self) -> None:
+        """Hook run after the policy has recorded a crash."""
+
+    def _maybe_crash(self) -> None:
+        """Raise an injected crash if the plan demands one.
+
+        Only consulted at iteration starts — the job's safe points: no
+        gate held, no run in flight — so injected crashes can never
+        corrupt the invariants the sanitizer checks.
+        """
+        injector = self.ctx.faults
+        if injector is None:
+            return
+        reason = injector.crash_requested(self.job.name)
+        if reason is not None:
+            raise InjectedJobCrash(self.job.name, reason)
+
+    def _record_span(self, iter_start: float) -> None:
+        """Record one iteration's latency and span, ending now."""
+        now = self.ctx.engine.now
+        self.job.stats.record_iteration(now - iter_start)
+        self.job.stats.iteration_spans.append((iter_start, now))
+
+    def _acquire_compute(self):
+        """Policy acquire with the wait observed (gated or not)."""
+        started = self.ctx.engine.now
+        grant = yield from self.policy.acquire_compute(self.job)
+        self._metrics.histogram(
+            "sched.acquire_wait_ms",
+            "time blocked acquiring the compute stage",
+            job=self.job.name).observe(self.ctx.engine.now - started)
+        return grant
+
+    def _run_iteration(self, iteration: int):
+        """One unpipelined iteration: the CPU stage, then the GPU stage.
+
+        Honors the policy's session semantics: fused policies (time
+        slicing) hold the pipeline slice across both stages; pipelined
+        policies gate only the CPU stage and then run the
+        preemption-surviving compute loop.
+        """
+        job, policy = self.job, self.policy
+        data_pool = self.ctx.data_pool_for(job.name)
+        yield from policy.acquire_pipeline(job)
+        try:
+            yield from job.session.run_cpu_stage(data_pool, iteration)
+            if policy.fused_sessions:
+                grant = yield from self._acquire_compute()
+                yield from self._compute_once(iteration, grant)
+        finally:
+            policy.release_pipeline(job)
+        if not policy.fused_sessions:
+            yield from self._compute_until_done(iteration)
+
+    def _compute_once(self, iteration: int, grant):
+        """One gated compute run (fused mode has no preemption)."""
+        job, policy = self.job, self.policy
+        try:
+            run = job.session.start_gpu_stage(
+                grant.pool, grant.device_name, iteration,
+                preallocated=grant.preallocated)
+        except OutOfMemoryError:
+            policy.release_compute(job, grant, "oom")
+            raise
+        outcome = yield run.done
+        job.session.finish_gpu_stage(run, iteration)
+        policy.release_compute(job, grant, outcome)
+
+    def _compute_until_done(self, iteration: int):
+        """Run the compute stage, surviving preemption-induced aborts."""
+        job, policy = self.job, self.policy
+        completed = set()
+        while True:
+            grant = yield from self._acquire_compute()
+            if job.assigned_device != grant.device_name:
+                # Migrated while the grant was in flight: give the gate
+                # back and chase the job to its new device.
+                policy.release_compute(job, grant, "stale")
+                continue
+            try:
+                run = job.session.start_gpu_stage(
+                    grant.pool, grant.device_name, iteration,
+                    completed=completed, preallocated=grant.preallocated)
+            except OutOfMemoryError:
+                policy.release_compute(job, grant, "oom")
+                raise
+            outcome = yield run.done
+            completed |= run.completed
+            job.session.finish_gpu_stage(run, iteration)
+            policy.release_compute(job, grant, outcome)
+            if outcome == "completed":
+                return
+
+
+class JobDriver(JobProcess):
+    """Runs one job under a policy for a fixed number of iterations."""
+
+    def __init__(self, policy: SchedulingPolicy, job: JobHandle,
+                 iterations: int, start_delay_ms: float = 0.0,
+                 request_interval_ms: Optional[float] = None,
+                 stop_event: Optional[Event] = None) -> None:
+        if iterations <= 0:
+            raise ValueError("iterations must be positive")
+        super().__init__(policy, job, start_delay_ms)
+        self.iterations = iterations
+        # Open-loop inference: request i arrives at start + i*interval;
+        # latency then includes queueing. None = closed loop.
+        self.request_interval_ms = request_interval_ms
+        # Optional external stop signal (e.g. "background job runs until
+        # the foreground stream completes").
+        self.stop_event = stop_event
+        # Restart-from-checkpoint state (active only under fault
+        # injection): the first iteration a restart resumes from, and
+        # how many restarts this job has already consumed.
+        self._checkpoint = 0
+        self._restarts = 0
+
+    # ------------------------------------------------------------------
+    def _stopped(self) -> bool:
+        return self.stop_event is not None and self.stop_event.triggered
+
+    def _body(self):
         """Run the iteration loop; crashes restart from the checkpoint.
 
         Without a fault injector attached this is exactly the old
@@ -136,28 +257,12 @@ class JobDriver:
                     restart=self._restarts,
                     from_iteration=self._checkpoint)
 
-    def _maybe_crash(self) -> None:
-        """Raise an injected crash if the plan demands one.
-
-        Only consulted at iteration starts — the job's safe points: no
-        gate held, no run in flight — so injected crashes can never
-        corrupt the invariants the sanitizer checks.
-        """
-        injector = self.ctx.faults
-        if injector is None:
-            return
-        reason = injector.crash_requested(self.job.name)
-        if reason is not None:
-            raise InjectedJobCrash(self.job.name, reason)
-
     def _record_iteration(self, iter_start: float,
                           iteration: int) -> None:
-        engine = self.ctx.engine
-        self.job.stats.record_iteration(engine.now - iter_start)
-        self.job.stats.iteration_spans.append((iter_start, engine.now))
+        self._record_span(iter_start)
         self._metrics.histogram(
             "job.iteration_ms", "end-to-end iteration latency",
-            job=self.job.name).observe(engine.now - iter_start)
+            job=self.job.name).observe(self.ctx.engine.now - iter_start)
         injector = self.ctx.faults
         if injector is not None:
             interval = injector.recovery.checkpoint_interval
@@ -165,16 +270,6 @@ class JobDriver:
                 self._checkpoint = iteration + 1
                 self._runlog.emit("checkpoint", job=self.job.name,
                                   iteration=iteration + 1)
-
-    def _acquire_compute(self):
-        """Policy acquire with the wait observed (gated or not)."""
-        started = self.ctx.engine.now
-        grant = yield from self.policy.acquire_compute(self.job)
-        self._metrics.histogram(
-            "sched.acquire_wait_ms",
-            "time blocked acquiring the compute stage",
-            job=self.job.name).observe(self.ctx.engine.now - started)
-        return grant
 
     # ------------------------------------------------------------------
     # Fused sessions (time slicing)
@@ -226,20 +321,6 @@ class JobDriver:
             finally:
                 policy.release_pipeline(job)
             self._record_iteration(iter_start, iteration)
-
-    def _compute_once(self, iteration: int, grant):
-        """One gated compute run (fused mode has no preemption)."""
-        job, policy = self.job, self.policy
-        try:
-            run = job.session.start_gpu_stage(
-                grant.pool, grant.device_name, iteration,
-                preallocated=grant.preallocated)
-        except OutOfMemoryError:
-            policy.release_compute(job, grant, "oom")
-            raise
-        outcome = yield run.done
-        job.session.finish_gpu_stage(run, iteration)
-        policy.release_compute(job, grant, outcome)
 
     # ------------------------------------------------------------------
     # Pipelined sessions (tf.data prefetch semantics)
@@ -293,28 +374,3 @@ class JobDriver:
                 yield buffer.put(iteration)
         except Interrupted:
             return  # consumer finished first; nothing left to prefetch
-
-    def _compute_until_done(self, iteration: int):
-        """Run the compute stage, surviving preemption-induced aborts."""
-        job, policy = self.job, self.policy
-        completed = set()
-        while True:
-            grant = yield from self._acquire_compute()
-            if job.assigned_device != grant.device_name:
-                # Migrated while the grant was in flight: give the gate
-                # back and chase the job to its new device.
-                policy.release_compute(job, grant, "stale")
-                continue
-            try:
-                run = job.session.start_gpu_stage(
-                    grant.pool, grant.device_name, iteration,
-                    completed=completed, preallocated=grant.preallocated)
-            except OutOfMemoryError:
-                policy.release_compute(job, grant, "oom")
-                raise
-            outcome = yield run.done
-            completed |= run.completed
-            job.session.finish_gpu_stage(run, iteration)
-            policy.release_compute(job, grant, outcome)
-            if outcome == "completed":
-                return

@@ -12,17 +12,15 @@ from repro.core import RunOptions, make_context
 from repro.core.switchflow import SwitchFlowPolicy
 from repro.hw import v100_server
 from repro.obs.audit import (
-    DECISION_EVENT,
     decisions,
     dump_flight_record,
-    emit_decision,
     explain,
     flight_record,
     main,
     why,
 )
 from repro.obs.report import WORKLOADS
-from repro.obs.runlog import RunLog
+from repro.obs.runlog import DECISION_EVENT, RunLog, emit_decision
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.sanitizer import sanitize_run
 from repro.core import (
     JobHandle,
     PRIORITY_HIGH,
@@ -11,6 +12,7 @@ from repro.core import (
     make_context,
 )
 from repro.baselines import MultiThreadedTF, SessionTimeSlicing
+from repro.faults import FaultPlan
 from repro.hw import v100_server
 from repro.models import get_model
 from repro.serving import (
@@ -288,6 +290,27 @@ class TestRunServing:
         assert ctx.serving is config
         with pytest.raises(RuntimeError):
             ctx.attach_serving(ServingConfig())
+
+    def test_served_job_crash_aborts_outstanding_requests(self):
+        # An injected crash mid-trace kills the served job for good:
+        # no restart, and every request still live is shed as aborted.
+        plan = FaultPlan.from_dict({"faults": [
+            {"kind": "job_crash", "job": "serve",
+             "trigger": {"at_ms": 500.0}}]})
+        ctx = make_context(v100_server, 1, seed=0,
+                           options=RunOptions(faults=plan))
+        result = run_serving(ctx, MultiThreadedTF, [serve_spec(ctx)])
+        stream = result.served("serve")
+        assert result.crashed_jobs() == ["serve"]
+        assert stream.crashed
+        assert 0 < stream.completed < stream.arrived
+        assert stream.completed + stream.shed == stream.arrived
+        assert stream.shed_by_reason == {"aborted": stream.shed}
+        assert all(request.shed_reason == "aborted"
+                   for request in stream.requests
+                   if request.completed_ms is None)
+        assert ctx.runlog.count("job_restarting", job="serve") == 0
+        assert not sanitize_run(ctx).by_check("request-span")
 
     def test_audit_decisions_emitted(self):
         ctx = make_context(v100_server, 2, seed=0)

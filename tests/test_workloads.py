@@ -1,11 +1,20 @@
 """Tests for drivers, the colocation harness, and multitask lockstep."""
 
+import json
+
 import pytest
 
 from repro.baselines import MultiThreadedTF, SessionTimeSlicing
-from repro.core import JobHandle, PRIORITY_HIGH, PRIORITY_LOW, make_context
+from repro.core import (
+    JobHandle,
+    PRIORITY_HIGH,
+    PRIORITY_LOW,
+    RunOptions,
+    make_context,
+)
 from repro.hw import v100_server
 from repro.models import get_model
+from repro.serving import ServedModelSpec, make_trace, run_serving
 from repro.workloads import (
     JobSpec,
     run_colocation,
@@ -59,13 +68,28 @@ class TestJobDriver:
         assert results.stats["fg"].iterations == 3
         assert results.stats["bg"].iterations < 100_000
 
-    def test_horizon_guard_raises(self):
-        ctx = make_context(v100_server, 1, seed=5)
+    @pytest.mark.parametrize("harness,reason", [
+        ("colocation", "deadlock-abort"),
+        ("serving", "serving-deadlock-abort"),
+    ], ids=["colocation", "serving"])
+    def test_horizon_guard_raises(self, harness, reason, tmp_path):
+        ctx = make_context(v100_server, 1, seed=5,
+                           options=RunOptions(flight_dir=str(tmp_path)))
         job = _job(ctx, "job")
         with pytest.raises(RuntimeError):
-            run_colocation(ctx, MultiThreadedTF,
-                           [JobSpec(job=job, iterations=100_000)],
-                           horizon_ms=50.0)
+            if harness == "colocation":
+                run_colocation(ctx, MultiThreadedTF,
+                               [JobSpec(job=job, iterations=100_000)],
+                               horizon_ms=50.0)
+            else:
+                trace = make_trace(ctx.rng, "job", "poisson", 40.0,
+                                   60_000.0)
+                run_serving(ctx, MultiThreadedTF,
+                            [ServedModelSpec(job=job, trace=trace)],
+                            horizon_ms=50.0)
+        # The abort path leaves a flight record named after the harness.
+        [record] = tmp_path.glob("flight-*.json")
+        assert json.loads(record.read_text())["reason"] == reason
 
     def test_empty_spec_list_rejected(self):
         ctx = make_context(v100_server, 1, seed=5)
