@@ -57,10 +57,7 @@ class CpuDevice:
         self.data_slots = Semaphore(engine, max(1, spec.cores - reserve))
         self.memory = MemoryPool(f"{self.name}-dram", host_memory_bytes)
         self.ops_completed = 0
-
-    @property
-    def lane(self) -> str:
-        return f"cpu:{self.name}"
+        self.lane = f"cpu:{self.name}"
 
     def execute(self, cost_ms: float, label: str = "cpu-op",
                 context: str = "-", data: bool = False):

@@ -15,8 +15,21 @@ everyone (the Figure 2 observation: ~2x slowdown per model when two
 ResNet50s share a V100).
 
 The engine is fully event-driven: progress is integrated lazily on every
-admission/completion, and a versioned timer wakes the device at the next
-completion time.
+launch, cancellation and completion, and one completion timer per device
+wakes it at the next completion time. The timer is re-keyed in place
+(:meth:`repro.sim.engine.Engine.rekey`) whenever that time moves, so no
+superseded timer ever fires. Work is done only when residency can
+change:
+
+* a launch needs no admission pass: the last pass left no stream head
+  fitting, and occupancy only drops in a completion, which runs a pass.
+  So only the new kernel can start, and only as its stream's head; a
+  launch queued behind a busy stream just re-keys the timer;
+* with one resident kernel its rate is exactly ``1.0`` and the horizon
+  is its own remaining work; the stream heads are sorted and every rate
+  recomputed only when two or more are involved, with the same float
+  operations in the same order, so transcripts are bit-identical to
+  the straightforward model kept as ``tests/reference_gpu.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 from repro.hw.kernels import KernelLaunch
 from repro.hw.memory import MemoryPool
 from repro.hw.specs import GpuSpec
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.sim.trace import OpenSpan, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,6 +57,10 @@ class _StreamState:
     def __init__(self) -> None:
         self.queue: Deque[Tuple[KernelLaunch, Event]] = deque()
         self.busy = False
+
+
+def _head_launch_id(state: _StreamState) -> int:
+    return state.queue[0][0].launch_id
 
 
 class _ResidentKernel:
@@ -76,8 +93,11 @@ class GpuDevice:
         self.memory = MemoryPool(self.name, spec.memory_bytes)
         self._streams: Dict[Tuple[str, int], _StreamState] = {}
         self._running: List[_ResidentKernel] = []
+        self.lane = f"gpu:{self.name}"
         self._last_update = engine.now
-        self._timer_version = 0
+        # The one pending completion timer (None while nothing is
+        # resident), re-keyed in place.
+        self._timer: Optional[Timeout] = None
         self._last_context: Optional[str] = None
         self.kernels_completed = 0
         self.context_switches = 0
@@ -88,10 +108,6 @@ class GpuDevice:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    @property
-    def lane(self) -> str:
-        return f"gpu:{self.name}"
-
     def launch(self, kernel: KernelLaunch) -> Event:
         """Enqueue ``kernel`` on its (context, stream); returns completion.
 
@@ -101,9 +117,18 @@ class GpuDevice:
         """
         done = self.engine.event()
         key = (kernel.context, kernel.stream)
-        state = self._streams.setdefault(key, _StreamState())
+        state = self._streams.get(key)
+        if state is None:
+            state = self._streams[key] = _StreamState()
         state.queue.append((kernel, done))
-        self._admit_and_reschedule()
+        self._sync_progress()
+        # Only the new kernel can be admitted, and only as its stream's
+        # head: the last admission pass left no other head fitting, and
+        # occupancy only drops in a completion, which runs a pass.
+        if not state.busy and len(state.queue) == 1 and self._fits(kernel):
+            self._admit(state)
+            self._update_rates()
+        self._reschedule()
         return done
 
     def cancel_queued(self, context: str) -> List[KernelLaunch]:
@@ -172,7 +197,10 @@ class GpuDevice:
 
     @property
     def total_occupancy(self) -> float:
-        return sum(r.kernel.occupancy for r in self._running)
+        running = self._running
+        if len(running) > 1:
+            return sum(r.kernel.occupancy for r in running)
+        return running[0].kernel.occupancy if running else 0.0
 
     # ------------------------------------------------------------------
     # Engine internals
@@ -209,64 +237,93 @@ class GpuDevice:
                 slowdown *= 1.0 + 0.5 * beta * others
             resident.rate = 1.0 / slowdown
 
+    def _fits(self, kernel: KernelLaunch) -> bool:
+        return self.total_occupancy + kernel.occupancy <= 1.0 + _EPSILON
+
+    def _admit(self, state: _StreamState) -> None:
+        """Start the head kernel of ``state``."""
+        kernel, done = state.queue.popleft()
+        state.busy = True
+        kernel.started_at = self.engine.now
+        span = None
+        if self.tracer is not None:
+            span = self.tracer.begin(
+                self.lane, kernel.name, context=kernel.context,
+                stream=kernel.stream, occupancy=kernel.occupancy)
+        resident = _ResidentKernel(kernel, done, span,
+                                   (kernel.context, kernel.stream))
+        if (self._last_context is not None
+                and kernel.context != self._last_context):
+            # Alternating contexts refill caches/TLBs.
+            resident.remaining_ms += self.spec.context_switch_overhead_ms
+            self.context_switches += 1
+        self._last_context = kernel.context
+        self._running.append(resident)
+
+    def _update_rates(self) -> None:
+        running = self._running
+        if len(running) == 1:
+            # Alone on the device: no others, so no slowdown.
+            running[0].rate = 1.0
+        elif running:
+            self._recompute_rates()
+
     def _admit_and_reschedule(self) -> None:
+        """One admission pass over every stream head, then re-key.
+
+        One pass suffices: admitting only adds occupancy, so a head
+        that did not fit earlier in the pass cannot fit later.
+        """
         self._sync_progress()
-        admitted = True
-        while admitted:
-            admitted = False
+        heads = [state for state in self._streams.values()
+                 if not state.busy and state.queue]
+        if len(heads) > 1:
             # Hardware work queues are served in kernel-launch order
             # (with bypass: a younger kernel that fits may start while
             # an older one waits for resources).
-            heads = sorted(
-                ((state.queue[0][0].launch_id, key, state)
-                 for key, state in self._streams.items()
-                 if not state.busy and state.queue),
-                key=lambda entry: entry[0])
-            for _launch_id, key, state in heads:
-                kernel, done = state.queue[0]
-                if self.total_occupancy + kernel.occupancy > 1.0 + _EPSILON:
-                    continue
-                state.queue.popleft()
-                state.busy = True
-                kernel.started_at = self.engine.now
-                span = None
-                if self.tracer is not None:
-                    span = self.tracer.begin(
-                        self.lane, kernel.name, context=kernel.context,
-                        stream=kernel.stream, occupancy=kernel.occupancy)
-                resident = _ResidentKernel(kernel, done, span, key)
-                if (self._last_context is not None
-                        and kernel.context != self._last_context):
-                    # Alternating contexts refill caches/TLBs.
-                    resident.remaining_ms += \
-                        self.spec.context_switch_overhead_ms
-                    self.context_switches += 1
-                self._last_context = kernel.context
-                self._running.append(resident)
-                admitted = True
-        self._recompute_rates()
-        self._arm_timer()
+            heads.sort(key=_head_launch_id)
+        for state in heads:
+            if self._fits(state.queue[0][0]):
+                self._admit(state)
+        self._update_rates()
+        self._reschedule()
 
-    def _arm_timer(self) -> None:
-        self._timer_version += 1
-        if not self._running:
+    def _reschedule(self) -> None:
+        """Key the completion timer to the earliest resident finish."""
+        running = self._running
+        if not running:
             return
-        version = self._timer_version
-        horizon = min(
-            max(r.remaining_ms, 0.0) / r.rate for r in self._running)
-        timer = self.engine.timeout(horizon)
-        timer.callbacks.append(lambda _event: self._on_timer(version))
+        if len(running) == 1:
+            resident = running[0]
+            horizon = max(resident.remaining_ms, 0.0) / resident.rate
+        else:
+            horizon = min(max(r.remaining_ms, 0.0) / r.rate for r in running)
+        timer = self._timer
+        if timer is None:
+            timer = self._timer = self.engine.timeout(horizon)
+            timer.callbacks.append(self._on_timer)
+        else:
+            self._timer = self.engine.rekey(timer, horizon)
 
-    def _on_timer(self, version: int) -> None:
-        if version != self._timer_version:
-            return  # superseded by a later admission/completion
+    def _on_timer(self, _timer: Timeout) -> None:
+        self._timer = None
         self._sync_progress()
-        finished = [r for r in self._running
-                    if r.remaining_ms <= _EPSILON * max(1.0, r.kernel.work_ms)]
-        if not finished:
-            self._arm_timer()
-            return
-        self._running = [r for r in self._running if r not in finished]
+        running = self._running
+        if len(running) == 1:
+            resident = running[0]
+            slack = _EPSILON * max(1.0, resident.kernel.work_ms)
+            if resident.remaining_ms > slack:
+                self._reschedule()
+                return
+            finished = running
+            self._running = []
+        else:
+            finished = [r for r in running
+                        if r.remaining_ms <= _EPSILON * max(1.0, r.kernel.work_ms)]
+            if not finished:
+                self._reschedule()
+                return
+            self._running = [r for r in running if r not in finished]
         for resident in finished:
             resident.kernel.finished_at = self.engine.now
             if resident.span is not None:

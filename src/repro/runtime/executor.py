@@ -14,7 +14,7 @@ so no work is lost (Section 3.3).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.graph.cost_model import (
     EXPENSIVE_THRESHOLD_MS,
@@ -44,11 +44,6 @@ EXECUTOR_DISPATCH_MS = 0.06
 RECURRENT_DISPATCH_MS = 0.5
 # Relative execution-time jitter applied to every op (lognormal sigma).
 EXECUTION_JITTER_SIGMA = 0.03
-
-# Sentinel: node completion will be delivered by a kernel callback, not
-# by the worker (GPU launches are asynchronous — the worker is freed as
-# soon as the kernel is in the stream, like TF's executor threads).
-_DEFERRED = object()
 
 
 class ExecutorRun:
@@ -147,6 +142,15 @@ class Executor:
         self._task_names: Dict[int, str] = {
             node_id: f"{name}/{node.name}"
             for node_id, node in self._node_by_id.items()}
+        # GPU compute nodes: their host-dispatch span label and cost.
+        self._dispatch: Dict[int, Tuple[str, float]] = {}
+        if self.is_gpu:
+            for node_id in self._costs:
+                node = self._node_by_id[node_id]
+                self._dispatch[node_id] = (
+                    f"dispatch/{node.name}",
+                    RECURRENT_DISPATCH_MS if node.op.attrs.get("recurrent")
+                    else EXECUTOR_DISPATCH_MS)
         self._initial_ready = [
             node for node in subgraph if self._base_in_deg[node.node_id] == 0]
         # Jitter streams are keyed by the node's position in the
@@ -177,11 +181,7 @@ class Executor:
             node = self._node_by_id[node_id]
             return 0.005 if node.kind is OpKind.SEND else 0.0
         if self.is_gpu:
-            node = self._node_by_id[node_id]
-            dispatch = (RECURRENT_DISPATCH_MS
-                        if node.op.attrs.get("recurrent")
-                        else EXECUTOR_DISPATCH_MS)
-            return cost.work_ms + dispatch
+            return cost.work_ms + self._dispatch[node_id][1]
         return float(cost)
 
     def critical_path_ms(self) -> float:
@@ -238,7 +238,7 @@ class Executor:
         run.aborted = True
         pool.cancel(lambda task: getattr(task, "run_ref", None) is run)
         if self.is_gpu:
-            self.device.cancel_queued(self._context_name(run))
+            self.device.cancel_queued(self.job)
         if run.active > 0:
             run._quiesced = self.engine.event()
             yield run._quiesced
@@ -248,14 +248,13 @@ class Executor:
     # ------------------------------------------------------------------
     # Node execution
     # ------------------------------------------------------------------
-    def _context_name(self, run: ExecutorRun) -> str:
-        return f"{self.job}"
-
     def _make_task(self, run: ExecutorRun, pool: ThreadPool,
                    node: Node) -> Task:
+        body = (self._gpu_node_body if node.node_id in self._dispatch
+                else self._node_body)
         task = Task(
             name=self._task_names[node.node_id], job=self.job,
-            body=lambda worker: self._node_body(run, pool, node, worker))
+            body=lambda worker: body(run, pool, node, worker))
         task.run_ref = run
         return task
 
@@ -266,20 +265,66 @@ class Executor:
             return
         run.active += 1
         try:
-            finished = yield from self._execute(run, pool, node, worker)
+            finished = yield from self._execute(run, node, worker)
         except BaseException:
             run.active -= 1
             self._maybe_quiesce(run)
             raise
-        if finished is _DEFERRED:
-            # Kernel in flight; _on_kernel_done owns the rest. `active`
-            # stays raised so abort() waits for the drain.
-            return
         run.active -= 1
         self._maybe_quiesce(run)
         if not finished or run.aborted:
             return
         self._complete_node(run, pool, node, worker)
+
+    def _gpu_node_body(self, run: ExecutorRun, pool: ThreadPool,
+                       node: Node, worker: Worker):
+        """Task body of a GPU compute node, in one frame.
+
+        Host-side dispatch (dependency resolution + kernel setup), then
+        an asynchronous launch: the worker is released at once, and node
+        completion (and successor scheduling) rides the kernel's
+        completion callback, as in TF's executor. ``active`` stays
+        raised while the kernel is in flight so abort() waits for it.
+        """
+        if run.aborted or node.node_id in run.completed:
+            self._maybe_quiesce(run)
+            return
+        run.active += 1
+        try:
+            label, dispatch_ms = self._dispatch[node.node_id]
+            yield from self.machine.cpu.execute(dispatch_ms, label=label,
+                                                context=self.job)
+            if not run.aborted:
+                cost = self._costs[node.node_id]
+                work_ms = self._jittered(cost.work_ms, node.node_id)
+                injector = self.machine.faults
+                if injector is not None:
+                    fault = injector.kernel_fault(self.job, self.device.name)
+                    if fault is not None:
+                        stall_ms, factor = fault
+                        work_ms = work_ms * factor + stall_ms
+                kernel = KernelLaunch(
+                    name=node.name,
+                    context=self.job,
+                    work_ms=work_ms,
+                    occupancy=cost.occupancy,
+                    stream=0,
+                )
+                done = self.device.launch(kernel)
+                tracker = instrument.TRACKER
+                if tracker is not None:
+                    tracker.handoff_send(("kernel", id(done)))
+                done.callbacks.append(
+                    lambda event: self._on_kernel_done(run, pool, node,
+                                                       event))
+                return
+        except BaseException:
+            run.active -= 1
+            self._maybe_quiesce(run)
+            raise
+        # Aborted during dispatch: no kernel was launched.
+        run.active -= 1
+        self._maybe_quiesce(run)
 
     def _complete_node(self, run: ExecutorRun, pool: ThreadPool,
                        node: Node, worker: Optional[Worker]) -> None:
@@ -359,9 +404,6 @@ class Executor:
                 pool.submit_batch(
                     [self._make_task(run, pool, n) for n in ready_pool])
 
-    def _is_expensive(self, node: Node) -> bool:
-        return self._expensive.get(node.node_id, False)
-
     def _maybe_quiesce(self, run: ExecutorRun) -> None:
         if (run.aborted and run.active == 0
                 and run._quiesced is not None
@@ -376,13 +418,11 @@ class Executor:
             return value
         return value * stream.next()
 
-    def _execute(self, run: ExecutorRun, pool: ThreadPool, node: Node,
-                 worker: Worker):
-        """Device-specific node execution.
+    def _execute(self, run: ExecutorRun, node: Node, worker: Worker):
+        """SEND, RECV and CPU node execution (GPU compute nodes run
+        :meth:`_gpu_node_body` instead).
 
-        Returns True when the node finished synchronously, False when it
-        was aborted, or the ``_DEFERRED`` sentinel when a GPU kernel is
-        in flight and completion arrives via callback.
+        Returns True when the node finished, False when it was aborted.
         """
         op = node.op
         cpu = self.machine.cpu
@@ -425,8 +465,6 @@ class Executor:
                 return False
             return True
 
-        if self.is_gpu:
-            return (yield from self._execute_gpu(run, pool, node))
         cost_ms = self._jittered(self._costs[node.node_id], node.node_id)
         if op.flops > 0 and not op.is_pipeline_op:
             # MKL intra-op parallelism: the cost model assumes
@@ -441,40 +479,3 @@ class Executor:
         yield from cpu.execute(cost_ms, label=node.name, context=self.job,
                                data=op.is_pipeline_op)
         return True
-
-    def _execute_gpu(self, run: ExecutorRun, pool: ThreadPool, node: Node):
-        cpu = self.machine.cpu
-        # Host-side dispatch: dependency resolution + kernel setup.
-        dispatch_ms = (RECURRENT_DISPATCH_MS
-                       if node.op.attrs.get("recurrent")
-                       else EXECUTOR_DISPATCH_MS)
-        yield from cpu.execute(dispatch_ms,
-                               label=f"dispatch/{node.name}",
-                               context=self.job)
-        if run.aborted:
-            return False
-        cost = self._costs[node.node_id]
-        work_ms = self._jittered(cost.work_ms, node.node_id)
-        injector = self.machine.faults
-        if injector is not None:
-            fault = injector.kernel_fault(self.job, self.device.name)
-            if fault is not None:
-                stall_ms, factor = fault
-                work_ms = work_ms * factor + stall_ms
-        kernel = KernelLaunch(
-            name=node.name,
-            context=self._context_name(run),
-            work_ms=work_ms,
-            occupancy=cost.occupancy,
-            stream=0,
-        )
-        # Asynchronous launch: the worker is released immediately; node
-        # completion (and successor scheduling) rides the kernel's
-        # completion callback, as in TF's executor.
-        done = self.device.launch(kernel)
-        tracker = instrument.TRACKER
-        if tracker is not None:
-            tracker.handoff_send(("kernel", id(done)))
-        done.callbacks.append(
-            lambda event: self._on_kernel_done(run, pool, node, event))
-        return _DEFERRED

@@ -260,6 +260,8 @@ class ThreadPool:
 
     def _steal(self, thief: Worker) -> Optional[Task]:
         """Steal one task from the back of another worker's queue."""
+        if self._queued == 0:
+            return None
         candidates = [w for w in self.workers
                       if w is not thief and len(w.local) > 0]
         if not candidates:

@@ -231,7 +231,7 @@ class Engine:
         event.delay = delay
         event._value = value
         now = self._now
-        when = now + delay
+        event.when = when = now + delay
         if when == now:
             self._imq.append(event)
         elif when == self._lb_when:
@@ -248,6 +248,50 @@ class Engine:
             self._lb_when = when
             self._lb_list = bucket
         return event
+
+    def rekey(self, timer: Timeout, delay: float) -> Timeout:
+        """Move the pending ``timer`` to fire ``delay`` ms from now.
+
+        The result fires exactly where a fresh ``timeout(delay)`` made
+        now would: at ``now + delay``, after every event already
+        scheduled for that time. A timer waiting in a future calendar
+        bucket moves to the tail of the target bucket (nothing happens
+        when it already is that tail). A timer due now sits in the live
+        slice or the immediate lane and cannot leave it: a fresh timeout
+        takes over its value and callbacks, and the old one fires with
+        none. Returns the timer that will fire. The timer's callbacks
+        are moved, so no process may be waiting on it.
+        """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        if timer.callbacks is None or timer._waiter is not None:
+            raise SimulationError(
+                "rekey needs a pending timer that no process waits on")
+        old = timer.when
+        now = self._now
+        if old == now:
+            fresh = self.timeout(delay, timer._value)
+            fresh.callbacks, timer.callbacks = timer.callbacks, fresh.callbacks
+            return fresh
+        when = now + delay
+        buckets = self._buckets
+        bucket = buckets[old]
+        if when == old and bucket[-1] is timer:
+            timer.delay = delay
+            return timer
+        bucket.remove(timer)
+        if not bucket:
+            # The times heap keeps the stale entry (pruned on reach);
+            # the last-bucket cache must not keep the orphaned list.
+            del buckets[old]
+            if self._lb_when == old:
+                self._lb_when = None
+            if len(self._list_pool) < _LIST_POOL_MAX:
+                self._list_pool.append(bucket)
+        timer.delay = delay
+        timer.when = when
+        self.schedule(timer, delay=delay)
+        return timer
 
     def process(self, generator: ProcessGenerator,
                 name: Optional[str] = None) -> Process:

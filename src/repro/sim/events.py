@@ -154,12 +154,14 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after ``delay`` time units.
 
-    Processed timeouts whose sole owner was the engine are recycled
-    through ``Engine._timeout_pool``, and ``Engine.timeout`` inlines
-    construction — this constructor is the cold path.
+    ``when`` is the absolute fire time (``now + delay`` at creation or
+    at the last :meth:`Engine.rekey`). Processed timeouts whose sole
+    owner was the engine are recycled through ``Engine._timeout_pool``,
+    and ``Engine.timeout`` inlines construction — this constructor is
+    the cold path.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "when")
 
     _tag = TAG_TIMEOUT
 
@@ -168,6 +170,7 @@ class Timeout(Event):
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(engine)
         self.delay = delay
+        self.when = engine.now + delay
         self._ok = True
         self._value = value
         engine.schedule(self, delay=delay)

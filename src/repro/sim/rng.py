@@ -30,13 +30,17 @@ class JitterStream:
     components interleave with it.
     """
 
-    __slots__ = ("sigma", "_rng", "_buffer", "_batch", "_size")
+    __slots__ = ("sigma", "_seed", "_rng", "_buffer", "_batch", "_size")
 
     def __init__(self, seed: int, sigma: float, batch: int = 256) -> None:
         if sigma < 0:
             raise ValueError("jitter sigma cannot be negative")
         self.sigma = sigma
-        self._rng = random.Random(seed)
+        # The generator (about 2.5 KB of state) is seeded on the first
+        # draw: the executor builds a stream per node of every device
+        # version, and most versions never run.
+        self._seed = seed
+        self._rng = None
         self._batch = batch
         # Refills grow geometrically up to ``batch``: components with
         # many streams but few draws per stream (the executor keeps one
@@ -48,6 +52,8 @@ class JitterStream:
         self._buffer: List[float] = []
 
     def _refill(self) -> None:
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
         count = self._size
         if count < self._batch:
             self._size = min(count * 4, self._batch)

@@ -86,8 +86,12 @@ class OpenSpan:
         self._tracer._open.pop(id(self), None)
         if end is None:
             end = self._tracer.engine.now
-        meta = dict(self.meta)
-        meta.update(extra_meta)
+        # Closed spans share the open span's meta (nothing writes it
+        # after close); only extra keys need a copy.
+        meta = self.meta
+        if extra_meta:
+            meta = dict(meta)
+            meta.update(extra_meta)
         span = Span(self.lane, self.name, self.start, end, meta)
         self._tracer.record(span)
         return span

@@ -40,6 +40,19 @@ class ReferenceEngine(Engine):
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def rekey(self, timer: Timeout, delay: float) -> Timeout:
+        """A fresh timeout takes over ``timer``'s value and callbacks;
+        the old one leaves the heap and never fires."""
+        if timer.callbacks is None or timer._waiter is not None:
+            raise SimulationError(
+                "rekey needs a pending timer that no process waits on")
+        fresh = self.timeout(delay, timer._value)
+        fresh.callbacks, timer.callbacks = timer.callbacks, fresh.callbacks
+        self._agenda = [entry for entry in self._agenda
+                        if entry[3] is not timer]
+        heapq.heapify(self._agenda)
+        return fresh
+
     def schedule(self, event: Event, priority: int = NORMAL,
                  delay: float = 0.0) -> None:
         self._sequence += 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hw import KernelLaunch, v100_server
+from repro.hw.gpu import GpuDevice
 from repro.sim import Engine, EventCancelled, Tracer
 
 
@@ -92,6 +93,40 @@ class TestExecution:
 
         process = engine.process(waiter(engine))
         assert engine.run(until=process) is kernel
+
+
+class TestCompletionTimer:
+    def test_one_firing_per_kernel_and_no_stale_firings(self, monkeypatch):
+        # Each launch behind a running kernel used to arm a fresh timer
+        # and leave the superseded one to fire as a no-op. The device
+        # now re-keys one timer, so N same-stream kernels cost exactly N
+        # firings, each completing one kernel.
+        firings = []
+        on_timer = GpuDevice._on_timer
+
+        def counted(gpu, timer):
+            before = gpu.kernels_completed
+            on_timer(gpu, timer)
+            firings.append(gpu.kernels_completed - before)
+
+        monkeypatch.setattr(GpuDevice, "_on_timer", counted)
+        engine = Engine()
+        gpu = v100_server(engine, 1).gpu(0)
+        n_kernels = 8
+        done = []
+
+        def launcher(env):
+            for index in range(n_kernels):
+                done.append(gpu.launch(KernelLaunch(
+                    name=f"k{index}", context="a", work_ms=2.0,
+                    occupancy=0.4)))
+                yield env.timeout(0.7)
+
+        engine.run(until=engine.process(launcher(engine)))
+        engine.run()
+        assert all(event.ok for event in done)
+        assert gpu.kernels_completed == n_kernels
+        assert firings == [1] * n_kernels
 
 
 class TestPreemptionHooks:

@@ -369,3 +369,120 @@ class TestEvery:
             return log
 
         assert build(Engine) == build(ReferenceEngine)
+
+
+# ---------------------------------------------------------------------------
+# Engine.rekey: a moved timer fires exactly where a fresh timeout made at
+# the moment of the move would (same time, tail of its bucket).
+# ---------------------------------------------------------------------------
+rekey_engines = pytest.mark.parametrize(
+    "engine_cls", [Engine, ReferenceEngine], ids=["array", "reference"])
+
+
+def _logged(engine, log, name, delay):
+    timer = engine.timeout(delay)
+    timer.callbacks.append(lambda _e: log.append((name, engine.now)))
+    return timer
+
+
+@rekey_engines
+class TestRekey:
+    def test_order_matches_fresh_timeout_in_shared_buckets(self, engine_cls):
+        engine = engine_cls()
+        log = []
+        _logged(engine, log, "a", 5.0)
+        moved = _logged(engine, log, "t", 5.0)
+        _logged(engine, log, "b", 5.0)
+        _logged(engine, log, "c", 8.0)
+        engine.rekey(moved, 8.0)
+        _logged(engine, log, "d", 8.0)
+        engine.run()
+        assert log == [("a", 5.0), ("b", 5.0), ("c", 8.0), ("t", 8.0),
+                       ("d", 8.0)]
+
+    def test_same_time_moves_behind_later_schedules(self, engine_cls):
+        engine = engine_cls()
+        log = []
+        moved = _logged(engine, log, "t", 5.0)
+        _logged(engine, log, "a", 5.0)
+        # At t=2 a re-key to the same fire time goes behind "a".
+        engine.timeout(2.0).callbacks.append(
+            lambda _e: engine.rekey(moved, 3.0))
+        engine.run()
+        assert log == [("a", 5.0), ("t", 5.0)]
+
+    def test_tail_of_target_bucket_is_left_alone(self, engine_cls):
+        engine = engine_cls()
+        log = []
+        _logged(engine, log, "a", 5.0)
+        moved = _logged(engine, log, "t", 5.0)
+        result = engine.rekey(moved, 5.0)
+        if engine_cls is Engine:
+            assert result is moved
+        _logged(engine, log, "b", 5.0)
+        engine.run()
+        assert log == [("a", 5.0), ("t", 5.0), ("b", 5.0)]
+
+    @pytest.mark.parametrize("delay", [7.0, 0.0])
+    def test_emptied_bucket_then_new_timeout_at_its_time(self, engine_cls,
+                                                          delay):
+        # The removal empties the 5.0 bucket; a later timeout for 5.0
+        # must land in a live bucket, not in the last-bucket cache's
+        # orphaned list (a move to now does not refresh that cache).
+        engine = engine_cls()
+        log = []
+        moved = _logged(engine, log, "t", 5.0)
+        engine.rekey(moved, delay)
+        _logged(engine, log, "x", 5.0)
+        assert engine.peek() == min(delay, 5.0)
+        engine.run()
+        assert log == sorted([("x", 5.0), ("t", delay)],
+                             key=lambda entry: entry[1])
+
+    def test_immediate_lane_falls_back_to_fresh_timeout(self, engine_cls):
+        engine = engine_cls()
+        log = []
+        due = _logged(engine, log, "t", 0.0)
+        _logged(engine, log, "a", 0.0)
+        moved = engine.rekey(due, 2.0)
+        assert moved.callbacks and not due.callbacks
+        engine.run()
+        assert log == [("a", 0.0), ("t", 2.0)]
+
+    def test_live_slice_falls_back_to_fresh_timeout(self, engine_cls):
+        engine = engine_cls()
+        log = []
+        holder = {}
+
+        def move(_event):
+            # "t" is due now, behind this event in the open slice.
+            holder["t"] = engine.rekey(holder["t"], 0.0)
+            log.append(("moved", engine.now))
+
+        engine.timeout(5.0).callbacks.append(move)
+        holder["t"] = _logged(engine, log, "t", 5.0)
+        _logged(engine, log, "b", 5.0)
+        engine.run()
+        # The fresh timer fires once, after everything already at 5.0.
+        assert log == [("moved", 5.0), ("b", 5.0), ("t", 5.0)]
+
+    def test_peek_follows_the_moved_timer(self, engine_cls):
+        engine = engine_cls()
+        log = []
+        moved = _logged(engine, log, "t", 5.0)
+        moved = engine.rekey(moved, 9.0)
+        assert engine.peek() == 9.0
+        moved = engine.rekey(moved, 3.0)
+        assert engine.peek() == 3.0
+        engine.run()
+        assert log == [("t", 3.0)]
+        assert engine.now == 3.0
+
+    def test_rejects_fired_timers_and_negative_delays(self, engine_cls):
+        engine = engine_cls()
+        timer = engine.timeout(1.0)
+        with pytest.raises(ValueError):
+            engine.rekey(timer, -1.0)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.rekey(timer, 1.0)
