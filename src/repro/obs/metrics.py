@@ -39,13 +39,12 @@ class _Instrument:
     def __init__(self, family: "MetricFamily", labels: LabelKey) -> None:
         self.family = family
         self.label_key = labels
+        # Bound once: gauges read the clock on every update.
+        self._now = family.registry._clock
 
     @property
     def labels(self) -> Dict[str, str]:
         return dict(self.label_key)
-
-    def _now(self) -> float:
-        return self.family.registry.now()
 
 
 class Counter(_Instrument):
@@ -218,9 +217,6 @@ class MetricsRegistry:
         self._clock = clock or (lambda: 0.0)
         self._families: Dict[str, MetricFamily] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
-
-    def now(self) -> float:
-        return self._clock()
 
     # ------------------------------------------------------------------
     # Instrument accessors (create on first use)

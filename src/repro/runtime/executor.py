@@ -10,20 +10,30 @@ executors across devices so a subgraph can migrate (Section 3.2). Runs
 can be aborted mid-flight — queued nodes are revoked, in-flight kernels
 drain — and later *resumed* with the completed-node set carried over,
 so no work is lost (Section 3.3).
+
+Construction only stores the inputs. The first :meth:`Executor.start`,
+:meth:`~Executor.node_cost_ms` or :meth:`~Executor.critical_path_ms`
+compiles a flat, position-indexed :class:`_Plan` (costs, successor
+tuples, an in-degree template), so device versions that never run cost
+nothing beyond the object. GPU compute nodes carry no task body: the
+pool worker runs their host dispatch slice inline between two executor
+callbacks (:meth:`Executor._gpu_node_start` and
+:meth:`Executor._gpu_node_launch`), and completion rides the kernel's
+completion callback.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 from repro.graph.cost_model import (
     EXPENSIVE_THRESHOLD_MS,
     cpu_op_cost_ms,
     gpu_kernel_cost,
 )
-from repro.graph.graph import Graph, Node
-from repro.graph.ops import OpKind
-from repro.hw.cpu import CpuDevice
+from repro.graph.graph import Graph
+from repro.graph.ops import CPU_OP_PARALLELISM, OpKind
 from repro.hw.gpu import GpuDevice
 from repro.hw.kernels import KernelLaunch
 from repro.sim import instrument
@@ -46,24 +56,89 @@ RECURRENT_DISPATCH_MS = 0.5
 EXECUTION_JITTER_SIGMA = 0.03
 
 
+class _Plan:
+    """One executor version compiled into position-indexed lists.
+
+    Positions follow the subgraph's iteration order. ``costs`` holds a
+    :class:`~repro.graph.cost_model.KernelCost` (GPU) or a float (CPU)
+    per compute node and ``None`` for SEND/RECV; ``dispatch`` holds the
+    ``(span label, dispatch_ms)`` record of GPU compute nodes and
+    ``None`` elsewhere; ``succ`` holds ``(position, expensive)`` tuples
+    in ``subgraph.successors`` order.
+    """
+
+    __slots__ = ("nodes", "index", "costs", "expensive", "dispatch",
+                 "jitter", "names", "succ", "in_deg", "ready")
+
+    def __init__(self, executor: "Executor") -> None:
+        subgraph = executor.subgraph
+        device = executor.device
+        is_gpu = executor.is_gpu
+        nodes = list(subgraph)
+        count = len(nodes)
+        self.nodes = nodes
+        self.index = {node.node_id: pos for pos, node in enumerate(nodes)}
+        self.costs: List[object] = [None] * count
+        self.expensive: List[bool] = [False] * count
+        self.dispatch: List[Optional[Tuple[str, float]]] = [None] * count
+        self.jitter: List[object] = [None] * count
+        self.names = [f"{executor.name}/{node.name}" for node in nodes]
+        costed = []
+        cpu_spec = executor.machine.cpu.spec
+        for pos, node in enumerate(nodes):
+            if node.kind in (OpKind.SEND, OpKind.RECV):
+                continue
+            if is_gpu:
+                cost = gpu_kernel_cost(node.op, device.spec)
+                self.expensive[pos] = cost.expensive
+                self.dispatch[pos] = (
+                    f"dispatch/{node.name}",
+                    RECURRENT_DISPATCH_MS if node.op.attrs.get("recurrent")
+                    else EXECUTOR_DISPATCH_MS)
+            else:
+                cost = cpu_op_cost_ms(node.op, cpu_spec)
+                self.expensive[pos] = cost >= EXPENSIVE_THRESHOLD_MS
+            self.costs[pos] = cost
+            costed.append(pos)
+        # Jitter streams are keyed by the node's position among costed
+        # nodes, not node_id: ids come from a process-global counter
+        # and would make two identical runs draw different noise.
+        rng = executor._rng
+        if rng is not None:
+            streams = rng.jitter_streams(
+                f"executor:{executor.name}", range(len(costed)),
+                EXECUTION_JITTER_SIGMA)
+            for key, pos in enumerate(costed):
+                self.jitter[pos] = streams[key]
+        index, expensive = self.index, self.expensive
+        self.succ: List[Tuple[Tuple[int, bool], ...]] = [
+            tuple((index[s.node_id], expensive[index[s.node_id]])
+                  for s in subgraph.successors(node))
+            for node in nodes]
+        self.in_deg = [subgraph.in_degree(node) for node in nodes]
+        self.ready = [pos for pos in range(count) if self.in_deg[pos] == 0]
+
+
 class ExecutorRun:
     """Mutable state of one in-flight executor invocation.
 
-    Dependency state is seeded from the executor's precomputed in-degree
-    map: a fresh run is a dict copy, and a *resumed* run (``completed``
-    carried over from an aborted invocation) subtracts the edges leaving
-    completed nodes instead of rescanning every predecessor list in the
-    subgraph.
+    Dependency state is a copy of the plan's in-degree list plus a
+    ``bytearray`` of done flags, both by position. A *resumed* run
+    (``completed`` carried over from an aborted invocation) marks the
+    completed nodes done and subtracts the edges leaving them instead of
+    rescanning every predecessor list. ``completed`` stays a set of node
+    ids, since the caller carries it across device versions.
     """
 
     # The last three slots belong to the session layer, which annotates
     # runs with the device/pool/memory context they execute under.
     __slots__ = ("executor", "scope", "done", "aborted", "completed",
-                 "active", "_quiesced", "in_deg", "remaining",
+                 "active", "_quiesced", "in_deg", "flags", "remaining",
                  "transient_allocation", "device_name", "pool")
 
     def __init__(self, executor: "Executor", scope: str,
                  completed: Optional[Set[int]] = None) -> None:
+        plan = executor.plan
         self.executor = executor
         self.scope = scope
         self.done: Event = executor.engine.event()
@@ -71,16 +146,21 @@ class ExecutorRun:
         self.completed: Set[int] = set(completed or ())
         self.active = 0
         self._quiesced: Optional[Event] = None
-        self.in_deg: Dict[int, int] = dict(executor._base_in_deg)
+        in_deg = self.in_deg = list(plan.in_deg)
+        flags = self.flags = bytearray(len(in_deg))
+        remaining = len(in_deg)
         if self.completed:
-            for node_id in self.completed:
-                self.in_deg.pop(node_id, None)
-            for node_id in self.completed:
-                for successor, _expensive in executor._succ.get(node_id, ()):
-                    sid = successor.node_id
-                    if sid in self.in_deg:
-                        self.in_deg[sid] -= 1
-        self.remaining = len(self.in_deg)
+            carried = [plan.index[node_id] for node_id in self.completed
+                       if node_id in plan.index]
+            for pos in carried:
+                flags[pos] = 1
+            remaining -= len(carried)
+            succ = plan.succ
+            for pos in carried:
+                for spos, _expensive in succ[pos]:
+                    if not flags[spos]:
+                        in_deg[spos] -= 1
+        self.remaining = remaining
 
     @property
     def status(self) -> str:
@@ -88,12 +168,13 @@ class ExecutorRun:
             return "running"
         return self.done.value
 
-    def initially_ready(self):
+    def initially_ready(self) -> List[int]:
+        """Positions of the nodes ready when the run starts."""
         if not self.completed:
-            return list(self.executor._initial_ready)
-        node_by_id = self.executor._node_by_id
-        return [node_by_id[node_id]
-                for node_id, degree in self.in_deg.items() if degree == 0]
+            return self.executor.plan.ready
+        flags = self.flags
+        return [pos for pos, degree in enumerate(self.in_deg)
+                if degree == 0 and not flags[pos]]
 
 
 class Executor:
@@ -110,61 +191,16 @@ class Executor:
         self.rendezvous = rendezvous
         self.engine = machine.engine
         self.is_gpu = isinstance(device, GpuDevice)
-        # Per-node immutable state, computed once per executor so run
-        # construction and successor scheduling never rescan the graph:
-        # memoized costs, the expensive/inexpensive classification,
-        # successor adjacency, base in-degrees, and the initial frontier.
-        self._costs: Dict[int, object] = {}
-        self._expensive: Dict[int, bool] = {}
-        self._node_by_id: Dict[int, Node] = {}
-        self._base_in_deg: Dict[int, int] = {}
-        for node in subgraph:
-            node_id = node.node_id
-            self._node_by_id[node_id] = node
-            self._base_in_deg[node_id] = sum(
-                1 for _pred in subgraph.predecessors(node))
-            if node.kind in (OpKind.SEND, OpKind.RECV):
-                self._expensive[node_id] = False
-                continue
-            if self.is_gpu:
-                cost = gpu_kernel_cost(node.op, device.spec)
-                self._expensive[node_id] = cost.expensive
-            else:
-                cost = cpu_op_cost_ms(node.op, machine.cpu.spec)
-                self._expensive[node_id] = cost >= EXPENSIVE_THRESHOLD_MS
-            self._costs[node_id] = cost
-        self._succ: Dict[int, list] = {
-            node_id: [(successor, self._expensive[successor.node_id])
-                      for successor in subgraph.successors(node)]
-            for node_id, node in self._node_by_id.items()}
-        # Task display names, formatted once: an f-string per dispatched
-        # node is measurable at executor rates.
-        self._task_names: Dict[int, str] = {
-            node_id: f"{name}/{node.name}"
-            for node_id, node in self._node_by_id.items()}
-        # GPU compute nodes: their host-dispatch span label and cost.
-        self._dispatch: Dict[int, Tuple[str, float]] = {}
-        if self.is_gpu:
-            for node_id in self._costs:
-                node = self._node_by_id[node_id]
-                self._dispatch[node_id] = (
-                    f"dispatch/{node.name}",
-                    RECURRENT_DISPATCH_MS if node.op.attrs.get("recurrent")
-                    else EXECUTOR_DISPATCH_MS)
-        self._initial_ready = [
-            node for node in subgraph if self._base_in_deg[node.node_id] == 0]
-        # Jitter streams are keyed by the node's position in the
-        # subgraph, not node_id: ids come from a process-global counter
-        # and would make two identical runs draw different noise.
-        if rng is not None:
-            streams = rng.jitter_streams(
-                f"executor:{name}", range(len(self._costs)),
-                EXECUTION_JITTER_SIGMA)
-            self._node_jitter = {
-                node_id: streams[index]
-                for index, node_id in enumerate(self._costs)}
-        else:
-            self._node_jitter = {}
+        self._rng = rng
+        self._plan: Optional[_Plan] = None
+
+    @property
+    def plan(self) -> _Plan:
+        """The compiled plan, built on first use."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _Plan(self)
+        return plan
 
     # ------------------------------------------------------------------
     # Static analysis
@@ -176,12 +212,15 @@ class Executor:
         its host bookkeeping; RECV is dynamic (rendezvous wait + PCIe)
         and contributes zero statically.
         """
-        cost = self._costs.get(node_id)
+        plan = self.plan
+        return self._cost_at(plan, plan.index[node_id])
+
+    def _cost_at(self, plan: _Plan, pos: int) -> float:
+        cost = plan.costs[pos]
         if cost is None:
-            node = self._node_by_id[node_id]
-            return 0.005 if node.kind is OpKind.SEND else 0.0
+            return 0.005 if plan.nodes[pos].kind is OpKind.SEND else 0.0
         if self.is_gpu:
-            return cost.work_ms + self._dispatch[node_id][1]
+            return cost.work_ms + plan.dispatch[pos][1]
         return float(cost)
 
     def critical_path_ms(self) -> float:
@@ -192,20 +231,20 @@ class Executor:
         critical-path profiler compares observed iteration time
         against ("It's the Critical Path!", PAPERS.md).
         """
-        finish: Dict[int, float] = {}
-        in_deg = dict(self._base_in_deg)
-        frontier = [n.node_id for n in self._initial_ready]
+        plan = self.plan
+        finish = [0.0] * len(plan.nodes)
+        in_deg = list(plan.in_deg)
+        frontier = list(plan.ready)
         longest = 0.0
         while frontier:
-            node_id = frontier.pop()
-            done_at = finish.get(node_id, 0.0) + self.node_cost_ms(node_id)
+            pos = frontier.pop()
+            done_at = finish[pos] + self._cost_at(plan, pos)
             longest = max(longest, done_at)
-            for successor, _expensive in self._succ[node_id]:
-                sid = successor.node_id
-                finish[sid] = max(finish.get(sid, 0.0), done_at)
-                in_deg[sid] -= 1
-                if in_deg[sid] == 0:
-                    frontier.append(sid)
+            for spos, _expensive in plan.succ[pos]:
+                finish[spos] = max(finish[spos], done_at)
+                in_deg[spos] -= 1
+                if in_deg[spos] == 0:
+                    frontier.append(spos)
         return longest
 
     # ------------------------------------------------------------------
@@ -224,7 +263,7 @@ class Executor:
             run.done.succeed("completed")
             return run
         pool.submit_many(
-            [self._make_task(run, pool, node) for node in ready])
+            [self._make_task(run, pool, pos) for pos in ready])
         return run
 
     def abort(self, run: ExecutorRun, pool: ThreadPool):
@@ -236,7 +275,7 @@ class Executor:
         if run.done.triggered:
             return
         run.aborted = True
-        pool.cancel(lambda task: getattr(task, "run_ref", None) is run)
+        pool.cancel(lambda task: task.run_ref is run)
         if self.is_gpu:
             self.device.cancel_queued(self.job)
         if run.active > 0:
@@ -249,118 +288,81 @@ class Executor:
     # Node execution
     # ------------------------------------------------------------------
     def _make_task(self, run: ExecutorRun, pool: ThreadPool,
-                   node: Node) -> Task:
-        body = (self._gpu_node_body if node.node_id in self._dispatch
-                else self._node_body)
-        task = Task(
-            name=self._task_names[node.node_id], job=self.job,
-            body=lambda worker: body(run, pool, node, worker))
-        task.run_ref = run
-        return task
+                   pos: int) -> Task:
+        plan = self._plan
+        if plan.dispatch[pos] is not None:
+            # Worker-driven: the worker runs the dispatch slice inline.
+            return Task(plan.names[pos], self.job, None, run, self, pos)
+        return Task(plan.names[pos], self.job,
+                    lambda worker: self._node_body(run, pool, pos, worker),
+                    run)
 
-    def _node_body(self, run: ExecutorRun, pool: ThreadPool, node: Node,
+    def _node_body(self, run: ExecutorRun, pool: ThreadPool, pos: int,
                    worker: Worker):
-        if run.aborted or node.node_id in run.completed:
+        if run.aborted or run.flags[pos]:
             self._maybe_quiesce(run)
             return
         run.active += 1
         try:
-            finished = yield from self._execute(run, node, worker)
+            finished = yield from self._execute(run, pos, worker)
         except BaseException:
             run.active -= 1
             self._maybe_quiesce(run)
             raise
         run.active -= 1
-        self._maybe_quiesce(run)
-        if not finished or run.aborted:
-            return
-        self._complete_node(run, pool, node, worker)
-
-    def _gpu_node_body(self, run: ExecutorRun, pool: ThreadPool,
-                       node: Node, worker: Worker):
-        """Task body of a GPU compute node, in one frame.
-
-        Host-side dispatch (dependency resolution + kernel setup), then
-        an asynchronous launch: the worker is released at once, and node
-        completion (and successor scheduling) rides the kernel's
-        completion callback, as in TF's executor. ``active`` stays
-        raised while the kernel is in flight so abort() waits for it.
-        """
-        if run.aborted or node.node_id in run.completed:
+        if run.aborted:
             self._maybe_quiesce(run)
             return
+        if finished:
+            self._complete_node(run, pool, pos, worker)
+
+    # A GPU compute node is host dispatch (dependency resolution + kernel
+    # setup) and then an asynchronous launch: the worker is released at
+    # once, and node completion (and successor scheduling) rides the
+    # kernel's completion callback, as in TF's executor. ``active`` stays
+    # raised while the kernel is in flight so abort() waits for it. The
+    # worker calls the three methods below around the dispatch slice.
+    def _gpu_node_start(self, run: ExecutorRun,
+                        pos: int) -> Optional[Tuple[str, float]]:
+        """Start check: the node's dispatch record, or None to skip."""
+        if run.aborted or run.flags[pos]:
+            self._maybe_quiesce(run)
+            return None
         run.active += 1
-        try:
-            label, dispatch_ms = self._dispatch[node.node_id]
-            yield from self.machine.cpu.execute(dispatch_ms, label=label,
-                                                context=self.job)
-            if not run.aborted:
-                cost = self._costs[node.node_id]
-                work_ms = self._jittered(cost.work_ms, node.node_id)
-                injector = self.machine.faults
-                if injector is not None:
-                    fault = injector.kernel_fault(self.job, self.device.name)
-                    if fault is not None:
-                        stall_ms, factor = fault
-                        work_ms = work_ms * factor + stall_ms
-                kernel = KernelLaunch(
-                    name=node.name,
-                    context=self.job,
-                    work_ms=work_ms,
-                    occupancy=cost.occupancy,
-                    stream=0,
-                )
-                done = self.device.launch(kernel)
-                tracker = instrument.TRACKER
-                if tracker is not None:
-                    tracker.handoff_send(("kernel", id(done)))
-                done.callbacks.append(
-                    lambda event: self._on_kernel_done(run, pool, node,
-                                                       event))
-                return
-        except BaseException:
+        return self._plan.dispatch[pos]
+
+    def _gpu_node_launch(self, run: ExecutorRun, pool: ThreadPool,
+                         pos: int) -> None:
+        """After the dispatch slice: launch the node's kernel."""
+        if run.aborted:
+            # Aborted during dispatch: no kernel is launched.
             run.active -= 1
             self._maybe_quiesce(run)
-            raise
-        # Aborted during dispatch: no kernel was launched.
+            return
+        plan = self._plan
+        cost = plan.costs[pos]
+        work_ms = self._jittered(cost.work_ms, pos)
+        injector = self.machine.faults
+        if injector is not None:
+            fault = injector.kernel_fault(self.job, self.device.name)
+            if fault is not None:
+                stall_ms, factor = fault
+                work_ms = work_ms * factor + stall_ms
+        done = self.device.launch(KernelLaunch(
+            plan.nodes[pos].name, self.job, work_ms, cost.occupancy))
+        tracker = instrument.TRACKER
+        if tracker is not None:
+            tracker.handoff_send(("kernel", id(done)))
+        done.callbacks.append(partial(self._on_kernel_done, run, pool, pos))
+
+    def _gpu_node_unwind(self, run: ExecutorRun) -> None:
+        """An exception escaped the dispatch slice or the launch."""
         run.active -= 1
         self._maybe_quiesce(run)
 
     def _complete_node(self, run: ExecutorRun, pool: ThreadPool,
-                       node: Node, worker: Optional[Worker]) -> None:
-        tracker = instrument.TRACKER
-        if tracker is not None:
-            # The run's completion/in-degree state is mutated from
-            # worker processes and kernel callbacks alike; the engine's
-            # cooperative scheduling is the implicit guard.
-            tracker.access(f"run:{self.name}:{run.scope}", "write",
-                           where=f"{self.name}/complete/{node.name}",
-                           guard=f"lock:run:{self.name}:{run.scope}")
-        run.completed.add(node.node_id)
-        run.remaining -= 1
-        if run.remaining == 0:
-            if not run.done.triggered:
-                run.done.succeed("completed")
-            return
-        self._schedule_successors(run, pool, node, worker)
-
-    def _on_kernel_done(self, run: ExecutorRun, pool: ThreadPool,
-                        node: Node, event: Event) -> None:
-        tracker = instrument.TRACKER
-        if tracker is not None:
-            tracker.handoff_recv(("kernel", id(event)))
-        run.active -= 1
-        self._maybe_quiesce(run)
-        if not event._ok:
-            event.defused()   # cancelled by preemption
-            return
-        if run.aborted:
-            return
-        self._complete_node(run, pool, node, worker=None)
-
-    def _schedule_successors(self, run: ExecutorRun, pool: ThreadPool,
-                             node: Node, worker: Optional[Worker]) -> None:
-        """Dispatch every successor made ready by one node's completion.
+                       pos: int, worker: Optional[Worker]) -> None:
+        """Mark one node done and dispatch the successors it made ready.
 
         In-degree decrements accumulate first, then the newly ready
         frontier goes out as (at most) two batches — inexpensive
@@ -368,41 +370,72 @@ class Executor:
         through the pool — so the per-push bookkeeping is paid once per
         completion wave rather than once per node.
         """
+        plan = self._plan
+        tracker = instrument.TRACKER
+        if tracker is not None:
+            # The run's completion/in-degree state is mutated from
+            # worker processes and kernel callbacks alike; the engine's
+            # cooperative scheduling is the implicit guard.
+            tracker.access(f"run:{self.name}:{run.scope}", "write",
+                           where=f"{self.name}/complete/"
+                                 f"{plan.nodes[pos].name}",
+                           guard=f"lock:run:{self.name}:{run.scope}")
+        run.completed.add(plan.nodes[pos].node_id)
+        flags = run.flags
+        flags[pos] = 1
+        run.remaining -= 1
+        if run.remaining == 0:
+            if not run.done.triggered:
+                run.done.succeed("completed")
+            return
         in_deg = run.in_deg
-        completed = run.completed
         ready_local = None
         ready_pool = None
-        for successor, expensive in self._succ[node.node_id]:
-            sid = successor.node_id
-            if sid in completed:
+        for spos, expensive in plan.succ[pos]:
+            if flags[spos]:
                 continue
-            remaining = in_deg[sid] - 1
-            in_deg[sid] = remaining
+            remaining = in_deg[spos] - 1
+            in_deg[spos] = remaining
             if remaining > 0:
                 continue
             if worker is not None and not expensive:
                 # Inexpensive successors run on the parent's worker
                 # (Figure 1's local-queue fast path).
                 if ready_local is None:
-                    ready_local = [successor]
+                    ready_local = [spos]
                 else:
-                    ready_local.append(successor)
+                    ready_local.append(spos)
             elif ready_pool is None:
-                ready_pool = [successor]
+                ready_pool = [spos]
             else:
-                ready_pool.append(successor)
+                ready_pool.append(spos)
+        make = self._make_task
         if ready_local is not None:
             if len(ready_local) == 1:
-                worker.push_front(self._make_task(run, pool, ready_local[0]))
+                worker.push_front(make(run, pool, ready_local[0]))
             else:
                 worker.push_front_batch(
-                    [self._make_task(run, pool, n) for n in ready_local])
+                    [make(run, pool, p) for p in ready_local])
         if ready_pool is not None:
             if len(ready_pool) == 1:
-                pool.submit(self._make_task(run, pool, ready_pool[0]))
+                pool.submit(make(run, pool, ready_pool[0]))
             else:
-                pool.submit_batch(
-                    [self._make_task(run, pool, n) for n in ready_pool])
+                pool.submit_batch([make(run, pool, p) for p in ready_pool])
+
+    def _on_kernel_done(self, run: ExecutorRun, pool: ThreadPool,
+                        pos: int, event: Event) -> None:
+        tracker = instrument.TRACKER
+        if tracker is not None:
+            tracker.handoff_recv(("kernel", id(event)))
+        run.active -= 1
+        if not event._ok:
+            self._maybe_quiesce(run)
+            event.defused()   # cancelled by preemption
+            return
+        if run.aborted:
+            self._maybe_quiesce(run)
+            return
+        self._complete_node(run, pool, pos, worker=None)
 
     def _maybe_quiesce(self, run: ExecutorRun) -> None:
         if (run.aborted and run.active == 0
@@ -410,20 +443,22 @@ class Executor:
                 and not run._quiesced.triggered):
             run._quiesced.succeed()
 
-    def _jittered(self, value: float, node_id: int) -> float:
+    def _jittered(self, value: float, pos: int) -> float:
         if value <= 0:
             return value
-        stream = self._node_jitter.get(node_id)
+        stream = self._plan.jitter[pos]
         if stream is None:
             return value
         return value * stream.next()
 
-    def _execute(self, run: ExecutorRun, node: Node, worker: Worker):
-        """SEND, RECV and CPU node execution (GPU compute nodes run
-        :meth:`_gpu_node_body` instead).
+    def _execute(self, run: ExecutorRun, pos: int, worker: Worker):
+        """SEND, RECV and CPU node execution (GPU compute nodes are
+        driven by the worker instead).
 
         Returns True when the node finished, False when it was aborted.
         """
+        plan = self._plan
+        node = plan.nodes[pos]
         op = node.op
         cpu = self.machine.cpu
 
@@ -465,14 +500,12 @@ class Executor:
                 return False
             return True
 
-        cost_ms = self._jittered(self._costs[node.node_id], node.node_id)
+        cost_ms = self._jittered(plan.costs[pos], pos)
         if op.flops > 0 and not op.is_pipeline_op:
             # MKL intra-op parallelism: the cost model assumes
             # CPU_OP_PARALLELISM threads; a smaller pool (SwitchFlow's
             # temporary pool) runs the op proportionally slower — the
             # Section 3.3 isolation-vs-performance tradeoff.
-            from repro.graph.ops import CPU_OP_PARALLELISM
-
             threads = max(1, min(CPU_OP_PARALLELISM,
                                  len(worker.pool.workers)))
             cost_ms *= CPU_OP_PARALLELISM / threads

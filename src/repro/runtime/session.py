@@ -5,6 +5,8 @@ executors that run it. Unlike vanilla TF — and exactly like SwitchFlow —
 it eagerly builds **one executor version per device** for the compute
 subgraph, so the scheduler can migrate the job between devices at
 preemption time (Section 3.2, "multiple versions of each subgraph").
+Each version compiles its execution plan on first use, so versions the
+job never runs cost only the executor object.
 
 A session run is split in two stages the way the paper's pipeline is:
 

@@ -25,6 +25,7 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.cpu import CpuDevice
     from repro.obs.metrics import MetricsRegistry
+    from repro.runtime.executor import Executor, ExecutorRun
     from repro.sim.engine import Engine
     from repro.sim.rng import RngRegistry
 
@@ -32,17 +33,32 @@ _task_ids = itertools.count(1)
 
 
 class Task:
-    """A unit of executor work (usually: execute one graph node)."""
+    """A unit of executor work (usually: execute one graph node).
 
-    __slots__ = ("name", "job", "body", "cancelled", "task_id", "run_ref")
+    A task either carries a ``body`` (a callable taking the worker and
+    returning the generator to run), or is a *worker-driven* GPU
+    compute node: ``body`` is ``None`` and ``executor``/``position``
+    name the node, whose dispatch slice the worker runs inline.
+    ``run_ref`` is the executor run a node belongs to (abort revokes
+    queued tasks by it).
+    """
+
+    __slots__ = ("name", "job", "body", "cancelled", "task_id", "run_ref",
+                 "executor", "position")
 
     def __init__(self, name: str, job: str,
-                 body: Callable[["Worker"], Generator]) -> None:
+                 body: Optional[Callable[["Worker"], Generator]],
+                 run_ref: Optional["ExecutorRun"] = None,
+                 executor: Optional["Executor"] = None,
+                 position: int = -1) -> None:
         self.name = name
         self.job = job
         self.body = body
         self.cancelled = False
         self.task_id = next(_task_ids)
+        self.run_ref = run_ref
+        self.executor = executor
+        self.position = position
 
     def __repr__(self) -> str:
         flag = " cancelled" if self.cancelled else ""
@@ -102,17 +118,24 @@ class Worker:
         self.local.append(task)
         pool = self.pool
         pool._queued += 1
-        pool._observe_queue_depth()
-        self._wake()
+        # The submit path: the depth update and wake are inlined.
+        if pool._g_depth is not None:
+            pool._g_depth.set(pool._queued)
+        wakeup = self._wakeup
+        if wakeup is not None and not wakeup.triggered:
+            wakeup.succeed()
 
     def _wake(self) -> None:
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
 
     def _loop(self) -> Generator:
-        engine = self.pool.engine
+        pool = self.pool
+        engine = pool.engine
+        local = self.local
+        take_local, steal = self._take_local, pool._steal
         while True:
-            task = self._take_local() or self.pool._steal(self)
+            task = (take_local() if local else None) or steal(self)
             if task is None:
                 self._wakeup = engine.event()
                 try:
@@ -126,11 +149,45 @@ class Worker:
                 continue
             tracker = instrument.TRACKER
             if tracker is not None:
-                tracker.on_task_start(self.pool, task)
+                tracker.on_task_start(pool, task)
             self.tasks_executed += 1
             started = engine.now
-            yield from task.body(self)
-            self.pool._observe_task(engine.now - started)
+            body = task.body
+            if body is not None:
+                yield from body(self)
+            else:
+                # A GPU compute node's host dispatch slice, inline and in
+                # CpuDevice.execute's exact order (acquire a core, span,
+                # timeout, close, release), between the executor's start
+                # check and its kernel launch.
+                executor = task.executor
+                run = task.run_ref
+                position = task.position
+                dispatch = executor._gpu_node_start(run, position)
+                if dispatch is not None:
+                    try:
+                        cpu = executor.machine.cpu
+                        cores = cpu.cores
+                        yield cores.acquire()
+                        tracer = cpu.tracer
+                        span = None
+                        if tracer is not None:
+                            span = tracer.begin(cpu.lane, dispatch[0],
+                                                context=task.job)
+                        try:
+                            yield engine.timeout(dispatch[1])
+                        finally:
+                            if span is not None:
+                                span.close()
+                            cores.release()
+                            cpu.ops_completed += 1
+                        executor._gpu_node_launch(run, pool, position)
+                    except BaseException:
+                        executor._gpu_node_unwind(run)
+                        raise
+            if pool._c_tasks is not None:
+                pool._c_tasks.inc()
+                pool._c_busy.inc(engine.now - started)
 
     def _take_local(self) -> Optional[Task]:
         pool = self.pool
@@ -139,7 +196,8 @@ class Worker:
             task = local.popleft()
             pool._queued -= 1
             if not task.cancelled:
-                pool._observe_queue_depth()
+                if pool._g_depth is not None:
+                    pool._g_depth.set(pool._queued)
                 return task
         return None
 
@@ -188,11 +246,6 @@ class ThreadPool:
     # ------------------------------------------------------------------
     # Observability hooks (no-ops without a registry)
     # ------------------------------------------------------------------
-    def _observe_task(self, busy_ms: float) -> None:
-        if self._c_tasks is not None:
-            self._c_tasks.inc()
-            self._c_busy.inc(busy_ms)
-
     def _observe_queue_depth(self) -> None:
         if self._g_depth is not None:
             self._g_depth.set(self._queued)
@@ -202,14 +255,22 @@ class ThreadPool:
             self._c_steals.inc()
 
     # ------------------------------------------------------------------
+    def _target(self) -> Worker:
+        """Where the next submitted task goes: the first idle worker with
+        an empty queue, else the first worker with the shortest queue."""
+        best = None
+        best_len = 0
+        for worker in self.workers:
+            queued = len(worker.local)
+            if not queued and worker._wakeup is not None:
+                return worker
+            if best is None or queued < best_len:
+                best, best_len = worker, queued
+        return best
+
     def submit(self, task: Task) -> None:
         """Dispatch a task: prefer an idle worker, else shortest queue."""
-        for worker in self.workers:
-            if worker.idle and not worker.local:
-                worker.push_back(task)
-                return
-        target = min(self.workers, key=lambda w: len(w.local))
-        target.push_back(task)
+        self._target().push_back(task)
 
     def submit_batch(self, tasks: List[Task]) -> None:
         """Dispatch a completion wave's ready frontier in one call.
@@ -219,18 +280,11 @@ class ThreadPool:
         the previous one); only the bookkeeping — queue-depth gauge and
         wakeup checks — is paid per batch instead of per task.
         """
-        workers = self.workers
         tracker = instrument.TRACKER
         for task in tasks:
             if tracker is not None:
                 tracker.on_task_queued(self, task)
-            target = None
-            for worker in workers:
-                if worker._wakeup is not None and not worker.local:
-                    target = worker
-                    break
-            if target is None:
-                target = min(workers, key=lambda w: len(w.local))
+            target = self._target()
             target.local.append(task)
             target._wake()
         self._queued += len(tasks)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -20,57 +20,32 @@ def derive_seed(root_seed: int, name: str) -> int:
 
 
 class JitterStream:
-    """Precomputed multiplicative lognormal jitter for one component.
+    """Multiplicative lognormal jitter for one component, drawn lazily.
 
-    Hot paths (the executor applies jitter to *every* dispatched node)
-    draw multipliers from a refilled batch instead of paying a named
-    stream lookup plus ``lognormvariate``'s rejection sampling per call.
     Each stream owns an independent :class:`random.Random`, so the draws
     a component sees depend only on its own name — never on how other
-    components interleave with it.
+    components interleave with it. Every :meth:`next` call draws exactly
+    one value, ``exp(sigma * gauss(0, 1))``.
     """
 
-    __slots__ = ("sigma", "_seed", "_rng", "_buffer", "_batch", "_size")
+    __slots__ = ("sigma", "_seed", "_rng")
 
-    def __init__(self, seed: int, sigma: float, batch: int = 256) -> None:
+    def __init__(self, seed: int, sigma: float) -> None:
         if sigma < 0:
             raise ValueError("jitter sigma cannot be negative")
         self.sigma = sigma
         # The generator (about 2.5 KB of state) is seeded on the first
-        # draw: the executor builds a stream per node of every device
-        # version, and most versions never run.
+        # draw: the executor keeps a stream per costed node, and many
+        # nodes of a short run are never drawn for.
         self._seed = seed
         self._rng = None
-        self._batch = batch
-        # Refills grow geometrically up to ``batch``: components with
-        # many streams but few draws per stream (the executor keeps one
-        # per graph node) would otherwise pay for hundreds of unused
-        # draws each. Batch size never changes the value sequence —
-        # ``Random.gauss`` keeps its Box–Muller pair cache on the
-        # instance, so draws depend only on their position.
-        self._size = 8
-        self._buffer: List[float] = []
-
-    def _refill(self) -> None:
-        if self._rng is None:
-            self._rng = random.Random(self._seed)
-        count = self._size
-        if count < self._batch:
-            self._size = min(count * 4, self._batch)
-        gauss = self._rng.gauss
-        sigma = self.sigma
-        exp = math.exp
-        self._buffer = [exp(sigma * gauss(0.0, 1.0))
-                        for _ in range(count)]
-        # Draws are consumed with pop() (O(1)); reverse so consumption
-        # order matches generation order and stays reproducible.
-        self._buffer.reverse()
 
     def next(self) -> float:
         """The next multiplier (mean ~1.0, spread ``sigma`` in log space)."""
-        if not self._buffer:
-            self._refill()
-        return self._buffer.pop()
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+        return math.exp(self.sigma * rng.gauss(0.0, 1.0))
 
 
 class RngRegistry:
@@ -89,7 +64,7 @@ class RngRegistry:
         return stream
 
     def jitter_stream(self, name: str, sigma: float) -> JitterStream:
-        """An independent precomputed jitter stream for ``name``."""
+        """An independent jitter stream for ``name``."""
         return JitterStream(derive_seed(self.root_seed, name), sigma)
 
     def jitter_streams(self, prefix: str, keys: Iterable,
@@ -97,8 +72,9 @@ class RngRegistry:
         """Batch-derive one jitter stream per key (``{prefix}:{key}``).
 
         Components with many jittered entities (the executor keeps one
-        stream per graph node) derive them all once at construction
-        instead of re-deriving named streams on every draw.
+        stream per costed graph node) derive them all once, when their
+        plan is compiled, instead of re-deriving named streams on every
+        draw.
         """
         return {key: self.jitter_stream(f"{prefix}:{key}", sigma)
                 for key in keys}

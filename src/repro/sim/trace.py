@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """A closed interval of activity on one timeline lane."""
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry, RunLog, merge_quantiles
+from repro.sim import Engine
 
 
 class FakeClock:
@@ -77,6 +78,30 @@ class TestGauge:
         gauge = reg.gauge("g")
         gauge.set(7.0)
         assert gauge.time_weighted_mean() == 7.0
+
+    def test_timestamps_follow_the_engine_clock(self):
+        # Instruments bind the registry clock once; every later read
+        # must still see the engine's current time.
+        engine = Engine()
+        registry = MetricsRegistry(clock=lambda: engine.now)
+        gauge = registry.gauge("g")
+        counter = registry.counter("c")
+
+        def proc():
+            gauge.set(2.0)
+            yield engine.timeout(5.0)
+            assert gauge._now() == 5.0
+            gauge.set(4.0)
+            yield engine.timeout(5.0)
+
+        engine.process(proc())
+        engine.run()
+        assert engine.now == 10.0
+        assert gauge._last_update == 5.0
+        # (2*5 + 4*5) / 10 = 3.0
+        assert gauge.time_weighted_mean() == pytest.approx(3.0)
+        counter.inc(20.0)
+        assert counter.rate_per_ms() == pytest.approx(2.0)
 
 
 class TestHistogram:

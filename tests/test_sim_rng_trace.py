@@ -1,8 +1,14 @@
 """Tests for RNG streams and the tracer."""
 
+import dataclasses
+import math
+import pickle
+import random
+
 import pytest
 
 from repro.sim import Engine, RngRegistry, Span, Tracer, derive_seed
+from repro.sim.rng import JitterStream
 from repro.sim.trace import render_ascii_timeline
 
 
@@ -31,6 +37,53 @@ class TestRng:
     def test_lognormal_center_positive(self):
         with pytest.raises(ValueError):
             RngRegistry(0).lognormal_around("x", -1.0, 0.1)
+
+
+class TestJitterStream:
+    def test_first_draws_match_an_independent_generator(self):
+        sigma = 0.03
+        stream = RngRegistry(11).jitter_stream("executor:x:4", sigma)
+        # No generator exists until the first draw.
+        assert stream._rng is None
+        oracle = random.Random(derive_seed(11, "executor:x:4"))
+        expected = [math.exp(sigma * oracle.gauss(0.0, 1.0))
+                    for _ in range(300)]
+        assert [stream.next() for _ in range(300)] == expected
+
+    def test_one_gauss_call_per_draw(self, monkeypatch):
+        calls = []
+        original = random.Random.gauss
+
+        def counting(self, mu=0.0, sigma=1.0):
+            calls.append(1)
+            return original(self, mu, sigma)
+
+        monkeypatch.setattr(random.Random, "gauss", counting)
+        stream = JitterStream(5, 0.1)
+        for _ in range(7):
+            stream.next()
+        assert len(calls) == 7
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError):
+            JitterStream(1, -0.1)
+
+
+class TestSpan:
+    def test_fields_are_frozen(self):
+        span = Span("gpu", "k", 0.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            span.end = 2.0
+
+    def test_slotted(self):
+        span = Span("gpu", "k", 0.0, 1.0)
+        assert not hasattr(span, "__dict__")
+
+    def test_pickle_round_trip(self):
+        span = Span("gpu", "k", 0.5, 1.5, {"context": "job"})
+        copy = pickle.loads(pickle.dumps(span))
+        assert copy == span
+        assert copy.duration == 1.0
 
 
 class TestTracer:
