@@ -12,6 +12,9 @@ Three families, matching the hot paths the simulator spends its time in:
 * ``cost_model.lookup`` — memoized vs uncached cost-model lookup rate
   over the model zoo's ops, plus the cache hit rate.
 
+``trace.span_bytes`` (host memory retained per recorded span) rides
+along, informational only: the regression gate does not check it.
+
 Run from the repo root (writes ``BENCH_core.json`` there)::
 
     PYTHONPATH=src python benchmarks/bench_core.py --quick
@@ -64,6 +67,9 @@ _HISTOGRAM_QUERIES = (20_000, 50_000)
 _OBS_ITERATIONS = (3, 8)
 _ROUTE_LOOKUPS = (100_000, 300_000)
 _SERVING_DURATION_MS = (1_500.0, 6_000.0)
+# Dispatch spans plus as many kernel spans (one size: a byte count per
+# span does not need a longer run to settle).
+_TRACE_SPANS = 10_000
 # Each engine pair is run this many times per side, keeping the best
 # rate. One shot on a shared single-core container carries ±15% noise,
 # which is enough to flip a 3x speedup to 2.6x run-to-run; best-of-N
@@ -556,6 +562,53 @@ def bench_cost_lookup(rounds: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Trace family
+# ---------------------------------------------------------------------------
+def bench_span_bytes(spans: int) -> dict:
+    """Host memory a traced run keeps per recorded span (lower is better).
+
+    Replays the two hottest span sites on a bare one-GPU machine:
+    ``spans`` host dispatch slices through ``CpuDevice.execute`` and as
+    many kernels through ``GpuDevice.launch``, each passing the shared
+    metadata mapping the executor passes, over 64 op names. Reports the
+    tracemalloc bytes still allocated once the run is over, per span.
+    """
+    import tracemalloc
+
+    from repro.hw.kernels import KernelLaunch
+
+    engine = Engine()
+    machine = single_gpu_server(engine, TESLA_V100)
+    cpu, gpu, tracer = machine.cpu, machine.gpus[0], machine.tracer
+    labels = [f"bench/op{index}" for index in range(64)]
+    host_meta = tracer.shared_meta(context="bench")
+    kernel_meta = tracer.shared_meta(context="bench", stream=0,
+                                     occupancy=1.0)
+
+    def driver():
+        for index in range(spans):
+            label = labels[index % len(labels)]
+            yield from cpu.execute(0.06, label=label, meta=host_meta)
+            yield gpu.launch(KernelLaunch(label, "bench", 0.25, 1.0, 0,
+                                          kernel_meta))
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine.process(driver())
+        engine.run()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    recorded = len(tracer.spans)
+    return {
+        "spans": recorded,
+        "retained_bytes": retained,
+        "bytes_per_span": round(retained / recorded, 1),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Suite driver
 # ---------------------------------------------------------------------------
 def run_suite(mode: str = "quick", output: Path = DEFAULT_OUTPUT) -> dict:
@@ -592,6 +645,7 @@ def run_suite(mode: str = "quick", output: Path = DEFAULT_OUTPUT) -> dict:
                 _ROUTE_LOOKUPS[size]),
             "serving.request_throughput": bench_serving_throughput(
                 _SERVING_DURATION_MS[size]),
+            "trace.span_bytes": bench_span_bytes(_TRACE_SPANS),
         },
     }
     output = Path(output)
@@ -645,6 +699,9 @@ def _print_summary(payload: dict) -> None:
           f"{serving['requests_per_sec']:,} req/s "
           f"({serving['completed']}/{serving['arrived']} requests in "
           f"{serving['batches']} batches, {serving['wall_s']}s)")
+    spans = benches["trace.span_bytes"]
+    print(f"trace.span_bytes: {spans['bytes_per_span']:,} bytes retained "
+          f"per span ({spans['spans']:,} spans)")
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +737,7 @@ def test_bench_core(once, tmp_path):
     # The bench queue is deep and the SLO loose: the solo front-end
     # must complete (not shed) essentially the whole stream.
     assert serving["completed"] > 0.9 * serving["arrived"]
+    assert benches["trace.span_bytes"]["spans"] == 2 * _TRACE_SPANS
 
 
 def main(argv=None) -> int:

@@ -21,6 +21,8 @@ Usage (what the CI bench job runs)::
 Exits 0 when every rate holds, 1 listing each regressed rate, 2 on
 malformed input. Keys present in only one file are reported but never
 fatal — the committed baseline may trail a PR that adds a benchmark.
+The ``--markdown`` delta table also lists :data:`INFO_KEYS`, figures
+shown for review that never fail the gate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: (benchmark name, rate field) pairs gated against the baseline.
 #: Higher is better for every one of these.
@@ -48,6 +50,12 @@ RATE_KEYS: Tuple[Tuple[str, str], ...] = (
     ("serving.request_throughput", "requests_per_sec"),
 )
 
+#: (benchmark name, field) pairs shown in the delta table, never gated.
+#: Lower is better for every one of these.
+INFO_KEYS: Tuple[Tuple[str, str], ...] = (
+    ("trace.span_bytes", "bytes_per_span"),
+)
+
 DEFAULT_THRESHOLD = 0.25
 
 
@@ -57,6 +65,16 @@ class RegressionCheckError(ValueError):
 
 def load_rates(path: Path) -> Dict[str, float]:
     """Extract the gated rates from one BENCH_core.json payload."""
+    return _load_values(path, RATE_KEYS)
+
+
+def load_info(path: Path) -> Dict[str, float]:
+    """Extract the informational (ungated) figures from one payload."""
+    return _load_values(path, INFO_KEYS)
+
+
+def _load_values(path: Path,
+                 keys: Tuple[Tuple[str, str], ...]) -> Dict[str, float]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -67,7 +85,7 @@ def load_rates(path: Path) -> Dict[str, float]:
     if not isinstance(benchmarks, dict):
         raise RegressionCheckError(f"{path}: missing 'benchmarks' object")
     rates: Dict[str, float] = {}
-    for bench, field in RATE_KEYS:
+    for bench, field in keys:
         entry = benchmarks.get(bench)
         # A non-dict entry (older schema, hand-edited file) is treated
         # like an absent benchmark, not a crash: the key then shows up
@@ -108,12 +126,16 @@ def compare(baseline: Dict[str, float], candidate: Dict[str, float],
 
 def markdown_table(baseline: Dict[str, float],
                    candidate: Dict[str, float],
-                   threshold: float) -> str:
+                   threshold: float,
+                   info_baseline: Optional[Dict[str, float]] = None,
+                   info_candidate: Optional[Dict[str, float]] = None
+                   ) -> str:
     """Before/after delta table (GitHub-flavored markdown).
 
     Written per CI run as the bench-comparison artifact and appended to
     the job summary, so a failing gate shows *which* rate moved and by
-    how much without downloading anything.
+    how much without downloading anything. Informational figures, when
+    given, follow in their own rows, marked "info (not gated)".
     """
     rows = ["| rate | baseline /s | candidate /s | delta | status |",
             "| --- | ---: | ---: | ---: | --- |"]
@@ -133,6 +155,15 @@ def markdown_table(baseline: Dict[str, float],
                   else "ok")
         rows.append(f"| `{key}` | {base:,.0f} | {cand:,.0f} | "
                     f"{ratio - 1.0:+.1%} | {status} |")
+    info_baseline = info_baseline or {}
+    info_candidate = info_candidate or {}
+    for key in sorted(set(info_baseline) | set(info_candidate)):
+        base = info_baseline.get(key)
+        cand = info_candidate.get(key)
+        delta = (f"{cand / base - 1.0:+.1%}"
+                 if base is not None and cand is not None else "—")
+        rows.append(f"| `{key}` | {_cell(base)} | {_cell(cand)} | "
+                    f"{delta} | info (not gated) |")
     header = (f"### Core microbenchmarks vs committed baseline\n\n"
               f"Gate: fail when a rate drops more than "
               f"{threshold:.0%}. Candidate runs in quick mode on a "
@@ -140,6 +171,10 @@ def markdown_table(baseline: Dict[str, float],
               f"full-mode run, so absolute levels differ more than "
               f"ratios do.\n\n")
     return header + "\n".join(rows) + "\n"
+
+
+def _cell(value: Optional[float]) -> str:
+    return "—" if value is None else f"{value:,.1f}"
 
 
 def main(argv=None) -> int:
@@ -166,6 +201,8 @@ def main(argv=None) -> int:
     try:
         baseline = load_rates(args.baseline)
         candidate = load_rates(args.candidate)
+        info_baseline = load_info(args.baseline)
+        info_candidate = load_info(args.candidate)
     except RegressionCheckError as exc:
         print(f"check_regression: {exc}", file=sys.stderr)
         return 2
@@ -177,7 +214,8 @@ def main(argv=None) -> int:
     if args.markdown is not None:
         args.markdown.parent.mkdir(parents=True, exist_ok=True)
         args.markdown.write_text(
-            markdown_table(baseline, candidate, args.threshold),
+            markdown_table(baseline, candidate, args.threshold,
+                           info_baseline, info_candidate),
             encoding="utf-8")
     if not baseline:
         print(f"check_regression: {args.baseline} has none of the gated "

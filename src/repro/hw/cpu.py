@@ -9,7 +9,7 @@ global pool plus SwitchFlow's temporary pool.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.hw.memory import MemoryPool
 from repro.hw.specs import CpuSpec
@@ -20,6 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
 GiB = 1024 ** 3
+
+# Span metadata of CPU work no job owns (shared; never mutated).
+_NO_CONTEXT: Dict[str, Any] = {"context": "-"}
 
 
 class CpuDevice:
@@ -60,13 +63,16 @@ class CpuDevice:
         self.lane = f"cpu:{self.name}"
 
     def execute(self, cost_ms: float, label: str = "cpu-op",
-                context: str = "-", data: bool = False):
+                meta: Dict[str, Any] = _NO_CONTEXT, data: bool = False):
         """Process generator: occupy one core for ``cost_ms``.
 
-        ``data=True`` marks bulk preprocessing work, which yields the
-        queue to runtime tasks. Usage from a worker::
+        ``meta`` is the span metadata, kept by reference: callers pass
+        one prebuilt ``{"context": job}`` mapping per job (see
+        :meth:`repro.sim.trace.Tracer.shared_meta`). ``data=True`` marks
+        bulk preprocessing work, which yields the queue to runtime
+        tasks. Usage from a worker::
 
-            yield from cpu.execute(3.5, label="decode", context=job)
+            yield from cpu.execute(3.5, label="decode", meta=job_meta)
         """
         if cost_ms < 0:
             raise ValueError(f"negative CPU cost: {cost_ms}")
@@ -77,7 +83,7 @@ class CpuDevice:
             else self.RUNTIME_PRIORITY)
         span = None
         if self.tracer is not None:
-            span = self.tracer.begin(self.lane, label, context=context)
+            span = self.tracer.begin(self.lane, label, meta)
         try:
             yield self.engine.timeout(cost_ms)
         finally:

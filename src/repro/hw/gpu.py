@@ -247,9 +247,11 @@ class GpuDevice:
         kernel.started_at = self.engine.now
         span = None
         if self.tracer is not None:
-            span = self.tracer.begin(
-                self.lane, kernel.name, context=kernel.context,
-                stream=kernel.stream, occupancy=kernel.occupancy)
+            meta = kernel.meta
+            if meta is None:
+                meta = {"context": kernel.context, "stream": kernel.stream,
+                        "occupancy": kernel.occupancy}
+            span = self.tracer.begin(self.lane, kernel.name, meta)
         resident = _ResidentKernel(kernel, done, span,
                                    (kernel.context, kernel.stream))
         if (self._last_context is not None

@@ -16,18 +16,24 @@ from typing import Any, Dict, Optional
 _launch_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelLaunch:
-    """One kernel enqueued on a GPU stream."""
+    """One kernel enqueued on a GPU stream.
+
+    ``meta`` is the device span's metadata, kept by reference: a
+    mapping equal to ``{"context", "stream", "occupancy"}`` that the
+    launcher shares across kernels (see
+    :meth:`repro.sim.trace.Tracer.shared_meta`). ``None`` makes the
+    device build one per span.
+    """
 
     name: str                      # op name, e.g. "resnet50/conv2_1/conv2d"
     context: str                   # job identity (CUDA-context analogue)
     work_ms: float                 # solo execution time on this device
     occupancy: float               # fraction of device resources demanded
-    memory_bytes: int = 0          # transient workspace while running
     stream: int = 0
-    meta: Dict[str, Any] = field(default_factory=dict)
-    launch_id: int = field(default_factory=lambda: next(_launch_ids))
+    meta: Optional[Dict[str, Any]] = None
+    launch_id: int = field(default_factory=_launch_ids.__next__)
 
     # Filled in by the device while executing.
     started_at: Optional[float] = None

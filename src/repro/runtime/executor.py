@@ -62,13 +62,18 @@ class _Plan:
     Positions follow the subgraph's iteration order. ``costs`` holds a
     :class:`~repro.graph.cost_model.KernelCost` (GPU) or a float (CPU)
     per compute node and ``None`` for SEND/RECV; ``dispatch`` holds the
-    ``(span label, dispatch_ms)`` record of GPU compute nodes and
-    ``None`` elsewhere; ``succ`` holds ``(position, expensive)`` tuples
-    in ``subgraph.successors`` order.
+    ``(span label, dispatch_ms, span meta)`` record of GPU compute nodes
+    and ``None`` elsewhere; ``kernel_meta`` holds each GPU compute
+    node's kernel span metadata; ``succ`` holds ``(position,
+    expensive)`` tuples in ``subgraph.successors`` order. Span metadata
+    comes from :meth:`repro.sim.trace.Tracer.shared_meta`: one
+    ``{"context": job}`` mapping (``span_meta``) for every host span of
+    the job and one mapping per distinct kernel occupancy.
     """
 
     __slots__ = ("nodes", "index", "costs", "expensive", "dispatch",
-                 "jitter", "names", "succ", "in_deg", "ready")
+                 "kernel_meta", "span_meta", "jitter", "names", "succ",
+                 "in_deg", "ready")
 
     def __init__(self, executor: "Executor") -> None:
         subgraph = executor.subgraph
@@ -80,9 +85,14 @@ class _Plan:
         self.index = {node.node_id: pos for pos, node in enumerate(nodes)}
         self.costs: List[object] = [None] * count
         self.expensive: List[bool] = [False] * count
-        self.dispatch: List[Optional[Tuple[str, float]]] = [None] * count
+        self.dispatch: List[Optional[Tuple[str, float, dict]]] = \
+            [None] * count
+        self.kernel_meta: List[Optional[dict]] = [None] * count
         self.jitter: List[object] = [None] * count
         self.names = [f"{executor.name}/{node.name}" for node in nodes]
+        job = executor.job
+        shared_meta = executor.machine.tracer.shared_meta
+        span_meta = self.span_meta = shared_meta(context=job)
         costed = []
         cpu_spec = executor.machine.cpu.spec
         for pos, node in enumerate(nodes):
@@ -94,7 +104,10 @@ class _Plan:
                 self.dispatch[pos] = (
                     f"dispatch/{node.name}",
                     RECURRENT_DISPATCH_MS if node.op.attrs.get("recurrent")
-                    else EXECUTOR_DISPATCH_MS)
+                    else EXECUTOR_DISPATCH_MS,
+                    span_meta)
+                self.kernel_meta[pos] = shared_meta(
+                    context=job, stream=0, occupancy=cost.occupancy)
             else:
                 cost = cpu_op_cost_ms(node.op, cpu_spec)
                 self.expensive[pos] = cost >= EXPENSIVE_THRESHOLD_MS
@@ -323,7 +336,7 @@ class Executor:
     # raised while the kernel is in flight so abort() waits for it. The
     # worker calls the three methods below around the dispatch slice.
     def _gpu_node_start(self, run: ExecutorRun,
-                        pos: int) -> Optional[Tuple[str, float]]:
+                        pos: int) -> Optional[Tuple[str, float, dict]]:
         """Start check: the node's dispatch record, or None to skip."""
         if run.aborted or run.flags[pos]:
             self._maybe_quiesce(run)
@@ -349,7 +362,8 @@ class Executor:
                 stall_ms, factor = fault
                 work_ms = work_ms * factor + stall_ms
         done = self.device.launch(KernelLaunch(
-            plan.nodes[pos].name, self.job, work_ms, cost.occupancy))
+            plan.nodes[pos].name, self.job, work_ms, cost.occupancy, 0,
+            plan.kernel_meta[pos]))
         tracker = instrument.TRACKER
         if tracker is not None:
             tracker.handoff_send(("kernel", id(done)))
@@ -465,7 +479,8 @@ class Executor:
         if op.kind is OpKind.SEND:
             # Deposit the tensor host-side; the receiver pays the copy
             # to wherever it lives *now* (supports migration).
-            yield from cpu.execute(0.005, label=op.name, context=self.job)
+            yield from cpu.execute(0.005, label=op.name,
+                                   meta=plan.span_meta)
             yield self.rendezvous.send(
                 run.scope, op.attrs["channel"], op.attrs["nbytes"])
             return True
@@ -509,6 +524,6 @@ class Executor:
             threads = max(1, min(CPU_OP_PARALLELISM,
                                  len(worker.pool.workers)))
             cost_ms *= CPU_OP_PARALLELISM / threads
-        yield from cpu.execute(cost_ms, label=node.name, context=self.job,
-                               data=op.is_pipeline_op)
+        yield from cpu.execute(cost_ms, label=node.name,
+                               meta=plan.span_meta, data=op.is_pipeline_op)
         return True

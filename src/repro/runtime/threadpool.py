@@ -173,7 +173,7 @@ class Worker:
                         span = None
                         if tracer is not None:
                             span = tracer.begin(cpu.lane, dispatch[0],
-                                                context=task.job)
+                                                dispatch[2])
                         try:
                             yield engine.timeout(dispatch[1])
                         finally:

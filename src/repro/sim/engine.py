@@ -82,7 +82,7 @@ class Engine:
 
     # Slots turn every hot-path attribute access (timeout creation,
     # lane routing, clock reads) from a dict lookup into an array load.
-    __slots__ = ("_now", "active_process",
+    __slots__ = ("now", "active_process",
                  "_buckets", "_urgents", "_times",
                  "_cur_u", "_cur_u_i", "_cur_n", "_cur_n_i",
                  "_slice_open", "_slice_time",
@@ -91,7 +91,9 @@ class Engine:
                  "_lb_when", "_lb_list")
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time in milliseconds. A plain slot, read
+        #: on every hot path; only the engine advances it.
+        self.now = float(initial_time)
         self.active_process: Optional[Process] = None
         # Calendar agenda. Future events live in per-time bucket lists;
         # the float heap orders the distinct times. The heap may hold
@@ -107,7 +109,7 @@ class Engine:
         self._cur_n: List[Event] = []
         self._cur_n_i = 0
         self._slice_open = False
-        self._slice_time = self._now
+        self._slice_time = self.now
         # Immediate lane — double-buffered FIFO. succeed() appends to
         # `_imq`; the loop drains `_imd` and swaps buffers.
         self._imq: List[Event] = []
@@ -128,18 +130,13 @@ class Engine:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
     def peek(self) -> float:
         """Time of the next scheduled event, or infinity if none."""
         if (self._cur_u_i < len(self._cur_u)
                 or self._cur_n_i < len(self._cur_n)
                 or self._imd_i < len(self._imd)
                 or self._imq):
-            return self._now
+            return self.now
         when = self._next_time()
         return when if when is not None else Infinity
 
@@ -162,9 +159,9 @@ class Engine:
     def _advance_to(self, when: float) -> None:
         """Open the time slice at ``when`` (the head of the times heap)."""
         heapq.heappop(self._times)
-        if when < self._now:  # pragma: no cover - defensive
+        if when < self.now:  # pragma: no cover - defensive
             raise SimulationError("agenda time went backwards")
-        self._now = when
+        self.now = when
         self._open_slice(when)
 
     def _open_slice(self, when: float) -> None:
@@ -196,8 +193,8 @@ class Engine:
         snapped the clock to the horizon — at which point it is fully
         drained — so reopening never discards pending events.
         """
-        if not (self._slice_open and self._slice_time == self._now):
-            self._open_slice(self._now)
+        if not (self._slice_open and self._slice_time == self.now):
+            self._open_slice(self.now)
 
     # ------------------------------------------------------------------
     # Event factories (convenience so processes write `yield env.timeout(x)`)
@@ -230,16 +227,15 @@ class Engine:
             event._waiter = None
         event.delay = delay
         event._value = value
-        now = self._now
+        now = self.now
         event.when = when = now + delay
         if when == now:
             self._imq.append(event)
         elif when == self._lb_when:
             self._lb_list.append(event)
         else:
-            try:
-                bucket = self._buckets[when]
-            except KeyError:
+            bucket = self._buckets.get(when)
+            if bucket is None:
                 lp = self._list_pool
                 bucket = lp.pop() if lp else []
                 self._buckets[when] = bucket
@@ -268,7 +264,7 @@ class Engine:
             raise SimulationError(
                 "rekey needs a pending timer that no process waits on")
         old = timer.when
-        now = self._now
+        now = self.now
         if old == now:
             fresh = self.timeout(delay, timer._value)
             fresh.callbacks, timer.callbacks = timer.callbacks, fresh.callbacks
@@ -310,10 +306,10 @@ class Engine:
         await or inspect it.
         """
         when = float(when)
-        if when < self._now:
+        if when < self.now:
             raise ValueError(
-                f"at({when}) is in the past (now={self._now})")
-        event = self.timeout(when - self._now)
+                f"at({when}) is in the past (now={self.now})")
+        event = self.timeout(when - self.now)
         event.callbacks.append(lambda _event: callback(self))
         return event
 
@@ -339,7 +335,7 @@ class Engine:
         handle = PeriodicHandle()
         first_delay = (interval_ms if first_delay_ms is None
                        else float(first_delay_ms))
-        anchor = self._now + first_delay
+        anchor = self.now + first_delay
         fired = 0
 
         def _arm(delay: float) -> None:
@@ -353,7 +349,7 @@ class Engine:
             callback(self)
             if not handle.cancelled:
                 fired += 1
-                delay = (anchor + fired * interval_ms) - self._now
+                delay = (anchor + fired * interval_ms) - self.now
                 _arm(delay if delay > 0.0 else 0.0)
 
         _arm(first_delay)
@@ -373,7 +369,7 @@ class Engine:
     def schedule(self, event: Event, priority: int = NORMAL,
                  delay: float = 0.0) -> None:
         """Place a triggered event on the agenda ``delay`` ms from now."""
-        now = self._now
+        now = self.now
         when = now + delay
         if priority == NORMAL:
             # Lane choice keys on the *computed* fire time: a tiny
@@ -385,9 +381,8 @@ class Engine:
             if when == self._lb_when:
                 self._lb_list.append(event)
                 return
-            try:
-                bucket = self._buckets[when]
-            except KeyError:
+            bucket = self._buckets.get(when)
+            if bucket is None:
                 lp = self._list_pool
                 bucket = lp.pop() if lp else []
                 self._buckets[when] = bucket
@@ -506,9 +501,9 @@ class Engine:
                 stop_event.callbacks.append(self._stop_on)
             else:
                 horizon = float(until)
-                if horizon < self._now:
+                if horizon < self.now:
                     raise ValueError(
-                        f"until={horizon} is in the past (now={self._now})")
+                        f"until={horizon} is in the past (now={self.now})")
 
         try:
             self._drain(horizon)
@@ -520,8 +515,8 @@ class Engine:
             # normal return means the agenda drained without it.
             raise SimulationError(
                 "run(until=event) exhausted the agenda before the event fired")
-        if horizon is not Infinity and self._now < horizon:
-            self._now = horizon
+        if horizon is not Infinity and self.now < horizon:
+            self.now = horizon
         return None
 
     def _drain(self, horizon: float) -> None:

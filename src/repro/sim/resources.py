@@ -47,7 +47,9 @@ class Semaphore:
     ``acquire(priority=...)`` lets urgent short work (e.g. executor
     dispatch microtasks) jump ahead of queued bulk work (e.g. image
     decode chunks) — the coarse analogue of OS scheduling classes.
-    Within one priority, waiters are served FIFO.
+    Within one priority, waiters are served FIFO: waiters sit on a heap
+    of ``(priority, seq, request)`` entries, and a cancelled request
+    leaves it at once, so an empty heap means no one is waiting.
     """
 
     def __init__(self, engine: "Engine", value: int = 1,
@@ -57,7 +59,7 @@ class Semaphore:
         self.engine = engine
         self.name = name  # labels the resource in concurrency reports
         self._count = value
-        self._waiters: Deque[Tuple[int, int, _Request]] = deque()
+        self._waiters: List[Tuple[int, int, _Request]] = []
         self._seq = 0
 
     @property
@@ -76,7 +78,7 @@ class Semaphore:
             request.succeed()
         else:
             self._seq += 1
-            self._waiters.append((priority, self._seq, request))
+            heapq.heappush(self._waiters, (priority, self._seq, request))
         tracker = instrument.TRACKER
         if tracker is not None:
             tracker.on_sem_acquire(self, request,
@@ -100,22 +102,18 @@ class Semaphore:
             tracker.on_sem_release(self)
         waiters = self._waiters
         while waiters:
-            if len(waiters) == 1:
-                # Sole waiter: skip the O(n) best-entry scan.
-                request = waiters.popleft()[2]
-            else:
-                best = min(waiters, key=lambda entry: entry[:2])
-                waiters.remove(best)
-                request = best[2]
+            request = heapq.heappop(waiters)[2]
             if not request.triggered:
                 request.succeed()
                 return
         self._count += 1
 
     def _drop(self, request: _Request) -> None:
-        for entry in self._waiters:
+        waiters = self._waiters
+        for entry in waiters:
             if entry[2] is request:
-                self._waiters.remove(entry)
+                waiters.remove(entry)
+                heapq.heapify(waiters)
                 break
 
     def __repr__(self) -> str:

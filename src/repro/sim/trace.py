@@ -5,6 +5,13 @@ matching the structure of an nvprof/TF-profiler timeline. The Figure 2 and
 Figure 3 reproductions are pure post-processing over these spans, and the
 per-device busy/idle accounting used throughout the metrics package is
 derived from them.
+
+Span metadata is immutable once passed to :meth:`Tracer.begin`: a span
+keeps the mapping it was given by reference, so spans with equal
+metadata share one dict. The hot span sites (pool dispatch slices, CPU
+ops, GPU kernels) fetch theirs from :meth:`Tracer.shared_meta` when they
+are built and pass it to every span; consumers read ``span.meta`` and
+copy before adding keys, as :meth:`OpenSpan.close` does.
 """
 
 from __future__ import annotations
@@ -86,8 +93,8 @@ class OpenSpan:
         self._tracer._open.pop(id(self), None)
         if end is None:
             end = self._tracer.engine.now
-        # Closed spans share the open span's meta (nothing writes it
-        # after close); only extra keys need a copy.
+        # The open span's meta may be shared with other spans: extra
+        # keys go to a copy.
         meta = self.meta
         if extra_meta:
             meta = dict(meta)
@@ -107,9 +114,21 @@ class Tracer:
         # In-progress spans, for leak detection: a lane whose span is
         # never closed silently under-counts busy time downstream.
         self._open: Dict[int, OpenSpan] = {}
+        # shared_meta's table: one mapping per distinct value.
+        self._shared: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
 
-    def begin(self, lane: str, name: str, **meta: Any) -> OpenSpan:
-        """Open a span on ``lane`` starting now."""
+    def begin(self, lane: str, name: str,
+              meta: Optional[Dict[str, Any]] = None, /,
+              **extra: Any) -> OpenSpan:
+        """Open a span on ``lane`` starting now.
+
+        The span keeps ``meta`` by reference (see :meth:`shared_meta`);
+        keyword ``extra`` keys are merged into a fresh copy.
+        """
+        if meta is None:
+            meta = extra
+        elif extra:
+            meta = {**meta, **extra}
         span = OpenSpan(self, lane, name, self.engine.now, meta)
         self._open[id(span)] = span
         return span
@@ -118,12 +137,27 @@ class Tracer:
     def span(self, lane: str, name: str,
              **meta: Any) -> Iterator[OpenSpan]:
         """Scoped span: closed automatically on exit (unless already)."""
-        open_span = self.begin(lane, name, **meta)
+        open_span = self.begin(lane, name, meta)
         try:
             yield open_span
         finally:
             if not open_span.closed:
                 open_span.close()
+
+    def shared_meta(self, **meta: Any) -> Dict[str, Any]:
+        """The one mapping equal to ``meta`` this tracer hands out.
+
+        Call sites that open many spans with equal metadata fetch the
+        mapping once, when they are built, and pass it to every
+        :meth:`begin`. Values must be hashable; a value's type is part
+        of its identity, so ``1`` and ``1.0`` stay distinct.
+        """
+        key = tuple((name, type(value), value)
+                    for name, value in meta.items())
+        shared = self._shared.get(key)
+        if shared is None:
+            shared = self._shared[key] = meta
+        return shared
 
     @property
     def open_spans(self) -> List[OpenSpan]:

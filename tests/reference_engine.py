@@ -57,15 +57,15 @@ class ReferenceEngine(Engine):
                  delay: float = 0.0) -> None:
         self._sequence += 1
         heapq.heappush(self._agenda,
-                       (self._now + delay, priority, self._sequence, event))
+                       (self.now + delay, priority, self._sequence, event))
 
     def step(self) -> None:
         if not self._agenda:
             raise SimulationError("attempt to step an empty agenda")
         when, _priority, _sequence, event = heapq.heappop(self._agenda)
-        if when < self._now:
+        if when < self.now:
             raise SimulationError("agenda time went backwards")
-        self._now = when
+        self.now = when
         callbacks, event.callbacks = event.callbacks, None
         waiter, event._waiter = event._waiter, None
         if waiter is not None:

@@ -287,8 +287,8 @@ class ReferenceExecutor(Executor):
         run.active += 1
         try:
             label, dispatch_ms = self._dispatch[node.node_id]
-            yield from self.machine.cpu.execute(dispatch_ms, label=label,
-                                                context=self.job)
+            yield from self.machine.cpu.execute(
+                dispatch_ms, label=label, meta={"context": self.job})
             if not run.aborted:
                 cost = self._costs[node.node_id]
                 work_ms = self._jittered(cost.work_ms, node.node_id)
@@ -425,7 +425,8 @@ class ReferenceExecutor(Executor):
         if op.kind is OpKind.SEND:
             # Deposit the tensor host-side; the receiver pays the copy
             # to wherever it lives *now* (supports migration).
-            yield from cpu.execute(0.005, label=op.name, context=self.job)
+            yield from cpu.execute(0.005, label=op.name,
+                                   meta={"context": self.job})
             yield self.rendezvous.send(
                 run.scope, op.attrs["channel"], op.attrs["nbytes"])
             return True
@@ -471,6 +472,7 @@ class ReferenceExecutor(Executor):
             threads = max(1, min(CPU_OP_PARALLELISM,
                                  len(worker.pool.workers)))
             cost_ms *= CPU_OP_PARALLELISM / threads
-        yield from cpu.execute(cost_ms, label=node.name, context=self.job,
+        yield from cpu.execute(cost_ms, label=node.name,
+                               meta={"context": self.job},
                                data=op.is_pipeline_op)
         return True

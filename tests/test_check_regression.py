@@ -201,3 +201,37 @@ def test_serving_rate_is_gated(tmp_path, capsys):
         ["--baseline", str(baseline), "--candidate", str(candidate)])
     assert status == 1
     assert "serving.request_throughput" in capsys.readouterr().err
+
+
+def test_informational_figures_shown_but_never_gated(tmp_path):
+    # trace.span_bytes is lower-is-better and ungated: a tenfold rise
+    # still passes, and the delta table lists it in both runs.
+    base_payload = copy.deepcopy(PAYLOAD)
+    base_payload["benchmarks"]["trace.span_bytes"] = {"bytes_per_span": 100.0}
+    worse = copy.deepcopy(base_payload)
+    worse["benchmarks"]["trace.span_bytes"]["bytes_per_span"] = 1000.0
+    baseline = write(tmp_path, "baseline.json", base_payload)
+    candidate = write(tmp_path, "candidate.json", worse)
+    delta = tmp_path / "DELTA.md"
+    status = check_regression.main(
+        ["--baseline", str(baseline), "--candidate", str(candidate),
+         "--markdown", str(delta)])
+    assert status == 0
+    table = delta.read_text(encoding="utf-8")
+    assert ("| `trace.span_bytes.bytes_per_span` | 100.0 | 1,000.0 | "
+            "+900.0% | info (not gated) |") in table
+    assert "trace.span_bytes" not in check_regression.load_rates(candidate)
+
+
+def test_informational_figure_missing_from_baseline_is_shown(tmp_path):
+    # The committed baseline predates trace.span_bytes.
+    with_info = copy.deepcopy(PAYLOAD)
+    with_info["benchmarks"]["trace.span_bytes"] = {"bytes_per_span": 104.7}
+    baseline = write(tmp_path, "baseline.json", PAYLOAD)
+    candidate = write(tmp_path, "candidate.json", with_info)
+    delta = tmp_path / "DELTA.md"
+    assert check_regression.main(
+        ["--baseline", str(baseline), "--candidate", str(candidate),
+         "--markdown", str(delta)]) == 0
+    assert ("| `trace.span_bytes.bytes_per_span` | — | 104.7 | — | "
+            "info (not gated) |") in delta.read_text(encoding="utf-8")

@@ -1,6 +1,7 @@
 """Tests for simulated synchronization primitives."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     Engine,
@@ -52,6 +53,77 @@ class TestSemaphore:
     def test_negative_initial_value_rejected(self, engine):
         with pytest.raises(ValueError):
             Semaphore(engine, -1)
+
+    def test_cancelled_sole_waiter_frees_the_queue(self, engine):
+        sem = Semaphore(engine, 1)
+        sem.try_acquire()
+        sem.acquire().cancel()
+        sem.release()
+        # No one waits any more, so a new acquire is granted at once.
+        assert sem.acquire().triggered
+        assert sem.count == 0
+
+
+_SEM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("acquire"), st.integers(0, 2)),
+    st.tuples(st.just("cancel"), st.integers(0, 15)),
+    st.tuples(st.just("release")),
+    st.tuples(st.just("try")),
+), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(permits=st.integers(0, 2), ops=_SEM_OPS)
+def test_semaphore_grants_match_brute_force_model(permits, ops):
+    """Grant order, permit count and cancels against a list-scan model:
+    the best waiter is the lowest (priority, arrival) one still pending.
+    """
+    sem = Semaphore(Engine(), permits)
+    count = permits
+    waiting = []      # model: (priority, arrival, request id)
+    requests = []     # real requests, by id
+    granted = []      # real grant order, by request id
+    expected = []     # model grant order
+    held = 0
+    for op in ops:
+        if op[0] == "acquire":
+            rid = len(requests)
+            requests.append(sem.acquire(priority=op[1]))
+            if count > 0 and not waiting:
+                count -= 1
+                expected.append(rid)
+            else:
+                waiting.append((op[1], rid, rid))
+        elif op[0] == "cancel":
+            if op[1] >= len(requests):
+                continue
+            request = requests[op[1]]
+            request.cancel()
+            waiting = [entry for entry in waiting if entry[2] != op[1]]
+        elif op[0] == "release":
+            if held == 0:
+                continue
+            held -= 1
+            sem.release()
+            if waiting:
+                best = min(waiting)
+                waiting.remove(best)
+                expected.append(best[2])
+            else:
+                count += 1
+        else:
+            took = sem.try_acquire()
+            assert took == (count > 0 and not waiting)
+            if took:
+                count -= 1
+                held += 1
+        for rid, request in enumerate(requests):
+            if request.triggered and request.ok and rid not in granted:
+                granted.append(rid)
+                held += 1
+        assert granted == expected
+        assert sem.count == count
+        assert len(sem._waiters) == len(waiting)
 
 
 class TestLock:
